@@ -24,6 +24,11 @@
 //     run of the same schedule, hits == duplicate count and misses ==
 //     distinct count exactly, and (full mode) vgg16 at 90% duplicates is
 //     >= 2x the cache-off throughput;
+//   * vgg16 telemetry: with telemetry sampling every 2nd request, replies
+//     (logits, suspicion, score epoch) and the final channel scores at
+//     max_batch 8 are memcmp-equal to max_batch 1, and the conv profile
+//     count is exactly 10 per served batch, telemetry on or off — sampled
+//     rows read their tap from the batch's own forward, never re-run one;
 //   * open-loop accounting: every sent request gets exactly one reply
 //     (served or rejected-with-status) through the socket; the saturation
 //     row additionally requires every reject to be kBusyRetryAfter with a
@@ -63,6 +68,7 @@
 #include "common.hpp"
 #include "models/mlp.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/net/client.hpp"
@@ -367,6 +373,58 @@ LoadResult run_schedule_loop(serve::Server& server,
   return res;
 }
 
+/// One single-worker burst for the vgg16 telemetry gate: every request is
+/// submitted up front, so max_batch > 1 coalesces under the long deadline
+/// while the monitor still observes sampled rows in admission order.
+/// `conv_calls` is the `conv_site` profile count the burst added.
+struct TelemetryBurst {
+  std::vector<serve::Reply> replies;
+  std::vector<float> scores;
+  std::uint64_t epochs = 0;
+  serve::ServerStats stats;
+  std::uint64_t conv_calls = 0;
+};
+
+TelemetryBurst run_telemetry_burst(serve::ModelRegistry& registry,
+                                   const std::vector<Tensor>& rows,
+                                   std::int64_t max_batch,
+                                   std::int64_t sample_every,
+                                   const std::string& conv_site) {
+  serve::ServeConfig cfg;
+  cfg.max_batch = max_batch;
+  cfg.deadline_us = 50'000;
+  cfg.queue_capacity = 2048;
+  cfg.telemetry.sample_every = sample_every;
+  cfg.telemetry.window = 4;
+  const auto site_calls = [&conv_site] {
+    for (const auto& e : obs::profile_table()) {
+      if (e.name == conv_site) return e.calls;
+    }
+    return std::uint64_t{0};
+  };
+  const std::uint64_t calls_before = site_calls();
+  serve::Server server(registry, cfg);
+  std::vector<std::future<serve::Reply>> futures;
+  futures.reserve(rows.size());
+  for (const auto& x : rows) futures.push_back(server.submit(x));
+  TelemetryBurst burst;
+  for (auto& f : futures) burst.replies.push_back(f.get());
+  server.shutdown();
+  burst.scores = server.monitor().channel_scores();
+  burst.epochs = server.monitor().score_epoch();
+  burst.stats = server.stats();
+  burst.conv_calls = site_calls() - calls_before;
+  return burst;
+}
+
+bool replies_bits_equal(const serve::Reply& a, const serve::Reply& b) {
+  return a.status == b.status && tensor_bits_equal(a.logits, b.logits) &&
+         a.telemetry.sampled == b.telemetry.sampled &&
+         std::memcmp(&a.telemetry.suspicion, &b.telemetry.suspicion,
+                     sizeof(float)) == 0 &&
+         a.telemetry.score_epoch == b.telemetry.score_epoch;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -376,7 +434,8 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strcmp(argv[i], "--cache-smoke") == 0) cache_smoke = true;
   }
-  const bool tiny = smoke || cache_smoke;  // tiny shapes, mlp only
+  // Tiny shapes; mlp only, apart from the small vgg16 telemetry gate.
+  const bool tiny = smoke || cache_smoke;
   const bool full_sections = !cache_smoke;
   print_header(cache_smoke
                    ? "bench_serve --cache-smoke: reply-cache gates only"
@@ -693,6 +752,83 @@ int main(int argc, char** argv) {
           ++failures;
         }
       }
+    }
+  }
+
+  // ---- vgg16 telemetry: batch-tap bit identity + exact forward count -------
+  // Telemetry reads each sampled row's last-conv tap out of the batch's own
+  // forward. Gates: replies and channel scores at max_batch 8 memcmp-equal
+  // to max_batch 1, and exactly kVggConvs conv calls per served batch with
+  // telemetry on, the same as off — a returning re-forward breaks the count.
+  if (full_sections) {
+    constexpr std::uint64_t kVggConvs = 10;  // 5 blocks x 2 convs
+    models::ModelSpec spec;
+    spec.name = "vgg16";
+    spec.num_classes = data.test.num_classes;
+    spec.image_size = chw[1];
+    spec.in_channels = chw[0];
+    Rng rng(43);
+    serve::ModelRegistry registry;
+    registry.publish(models::make_model(spec, rng), chw, "vgg16");
+    const std::string site = registry.current()->model->fused_eval_ready()
+                                 ? "tensor/conv_eval/fused"
+                                 : "tensor/conv2d";
+    const std::vector<Tensor> burst_rows(
+        rows.begin(), rows.begin() + std::min<std::size_t>(rows.size(), 64));
+    const bool was_profiling = obs::profiling_enabled();
+    obs::set_profiling_enabled(true);
+    const auto single = run_telemetry_burst(registry, burst_rows, 1, 2, site);
+    const auto batched = run_telemetry_burst(registry, burst_rows, 8, 2, site);
+    const auto quiet = run_telemetry_burst(registry, burst_rows, 8, 0, site);
+    obs::set_profiling_enabled(was_profiling);
+
+    bool bits_ok = single.replies.size() == batched.replies.size() &&
+                   single.epochs > 0 && single.epochs == batched.epochs &&
+                   single.scores.size() == batched.scores.size() &&
+                   std::memcmp(single.scores.data(), batched.scores.data(),
+                               sizeof(float) * single.scores.size()) == 0;
+    for (std::size_t i = 0; bits_ok && i < single.replies.size(); ++i) {
+      bits_ok = single.replies[i].ok() &&
+                replies_bits_equal(single.replies[i], batched.replies[i]);
+    }
+    bool count_ok = batched.stats.max_batch_observed > 1;
+    for (const auto* b : {&single, &batched, &quiet}) {
+      count_ok = count_ok && b->conv_calls == kVggConvs * b->stats.batches;
+    }
+    std::printf("  vgg16   telemetry every 2nd, max_batch 1 vs 8  : %s calls "
+                "%llu / %llu batches (off: %llu / %llu)  epochs %llu  bits %s"
+                "  count %s\n",
+                site.c_str(),
+                static_cast<unsigned long long>(batched.conv_calls),
+                static_cast<unsigned long long>(batched.stats.batches),
+                static_cast<unsigned long long>(quiet.conv_calls),
+                static_cast<unsigned long long>(quiet.stats.batches),
+                static_cast<unsigned long long>(batched.epochs),
+                bits_ok ? "OK" : "MISMATCH", count_ok ? "OK" : "WRONG");
+    BenchRecord rec;
+    rec.kernel = "serve/vgg16/telemetry_identity";
+    rec.shape = "requests=" + std::to_string(burst_rows.size()) +
+                ",every=2,window=4,max_batch=1|8";
+    rec.threads = runtime::num_threads();
+    rec.checksum = static_cast<double>(batched.conv_calls);
+    rec.bit_identical = bits_ok && count_ok;
+    rec.extra = {{"batches", static_cast<double>(batched.stats.batches)},
+                 {"conv_calls_per_batch",
+                  static_cast<double>(batched.conv_calls) /
+                      static_cast<double>(std::max<std::uint64_t>(
+                          batched.stats.batches, 1))}};
+    reporter.add(rec);
+    if (!bits_ok) {
+      std::fprintf(stderr, "FAIL: vgg16 telemetry at max_batch 8 differs "
+                   "from max_batch 1\n");
+      ++failures;
+    }
+    if (!count_ok) {
+      std::fprintf(stderr, "FAIL: vgg16 %s calls are not %llu per served "
+                   "batch in every burst, or the max_batch 8 burst never "
+                   "coalesced\n",
+                   site.c_str(), static_cast<unsigned long long>(kVggConvs));
+      ++failures;
     }
   }
 

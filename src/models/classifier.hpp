@@ -28,9 +28,9 @@ class TapClassifier : public nn::Module {
   /// or flips, no RNG draws (dropout identity, no VIB noise), batch norm on
   /// frozen running stats. Bit-identical to forward_with_taps() on a model in
   /// eval mode, and safe to call concurrently from any number of threads on a
-  /// shared immutable model — the contract the serving ModelSnapshot and the
-  /// telemetry tap capture rely on. Graph-building still follows the ambient
-  /// grad mode, so gradient attacks can differentiate through it.
+  /// shared immutable model — the contract the serving ModelSnapshot (whose
+  /// taps also feed telemetry) relies on. Graph-building still follows the
+  /// ambient grad mode, so gradient attacks can differentiate through it.
   virtual TapsOutput eval_forward_with_taps(const ag::Var& x) const = 0;
 
   /// Build the fused inference plans (tensor/conv_eval.hpp): prepacked

@@ -15,10 +15,9 @@
 // forward available to holders is the strictly-const eval path
 // (eval_forward / eval_forward_with_taps — no mode flips, no RNG draws, no
 // buffer writes). That is what makes one snapshot safe to share across any
-// number of serving workers and concurrent telemetry captures. Hot reload
-// from disk goes through publish_checkpoint, which rebuilds the architecture
-// from a ModelSpec and loads util/serialize checkpoint bytes into it before
-// the swap.
+// number of serving workers. Hot reload from disk goes through
+// publish_checkpoint, which rebuilds the architecture from a ModelSpec and
+// loads util/serialize checkpoint bytes into it before the swap.
 
 #include <atomic>
 #include <cstdint>

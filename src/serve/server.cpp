@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "analysis/capture.hpp"
 #include "autograd/var.hpp"
 #include "obs/clock.hpp"
 #include "obs/trace.hpp"
@@ -87,8 +86,8 @@ Server::Server(ModelRegistry& registry, ServeConfig cfg)
         "serve::Server: registry has no published model");
   }
   // Any workers/telemetry combination is safe: snapshots are
-  // shared_ptr<const TapClassifier>, so both the serving forward and the
-  // telemetry tap capture can only take the strictly-const eval path.
+  // shared_ptr<const TapClassifier>, so the serving forward (whose taps also
+  // feed telemetry) can only take the strictly-const eval path.
   base_ = read_totals();
   workers_.reserve(static_cast<std::size_t>(cfg_.workers));
   for (std::int64_t w = 0; w < cfg_.workers; ++w) {
@@ -309,7 +308,11 @@ void Server::serve_batch(MicroBatch& batch) {
                 live[static_cast<std::size_t>(i)].input.data().data(),
                 sizeof(float) * static_cast<std::size_t>(row));
   }
-  const Tensor logits = snap->forward(x);
+  // One forward serves both the replies and telemetry: sampled rows read
+  // their last-conv tap straight out of this batch's taps, which are
+  // bit-identical to a batch-1 forward of the same row by contract.
+  const auto out = snap->model->eval_forward_with_taps(ag::Var::constant(x));
+  const Tensor& logits = out.logits.value();
   const std::int64_t t1 = now_ns();
   // Stage boundaries tile exactly: queue_wait covers enqueue ->
   // assemble_end, compute covers assemble_end -> logits-ready (row staging
@@ -388,20 +391,12 @@ void Server::serve_batch(MicroBatch& batch) {
 
     if (monitor_.should_sample(req.index)) {
       obs::Span rescore_span("telemetry_rescore", traced_req, req.index);
-      // Tap capture rides the shared analysis sweep on a one-row dataset:
-      // one extra forward per Kth request, amortized away by the cadence.
-      data::Dataset one;
-      one.images = req.input.reshape({1, chw[0], chw[1], chw[2]});
-      one.labels = {0};
-      one.num_classes = snap->num_classes;
-      const auto dump = analysis::capture_taps(
-          *snap->model, one, /*max_samples=*/-1, /*batch=*/1,
-          {snap->model->last_conv_tap_index()});
+      const Tensor& tap = out.taps[snap->model->last_conv_tap_index()].value();
+      const std::int64_t width = tap.numel() / bsz;
       const std::int64_t channels = snap->model->last_conv_channels();
-      const std::int64_t width = dump.taps[0].dim(1);
-      reply.telemetry =
-          monitor_.observe(dump.taps[0].data().data(), channels,
-                           width / channels, reply.argmax, snap->num_classes);
+      reply.telemetry = monitor_.observe(tap.data().data() + i * width,
+                                         channels, width / channels,
+                                         reply.argmax, snap->num_classes);
       c_telemetry_samples_.inc();
       if (reply.telemetry.suspicion >= 0.0f) {
         h_suspicion_.observe(static_cast<double>(reply.telemetry.suspicion));

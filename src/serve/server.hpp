@@ -10,10 +10,10 @@
 // an immutable snapshot per batch, so checkpoints hot-swap under live traffic
 // while in-flight batches finish on the version they grabbed. Every Kth
 // request optionally flows through the robustness telemetry
-// (serve/telemetry.hpp) — safe at any worker count because both the serving
-// forward and the telemetry tap capture ride the snapshot's strictly-const
-// eval path (no mode flips, no shared mutable state; see
-// serve/model_registry.hpp). Bit-identity contract: a request's logits are
+// (serve/telemetry.hpp), which reads the sampled row's last-conv tap from
+// the batch's own forward — safe at any worker count because that forward
+// rides the snapshot's strictly-const eval path (no mode flips, no shared
+// mutable state; see serve/model_registry.hpp). Bit-identity contract: a request's logits are
 // memcmp-identical whichever worker or micro-batch serves it, telemetry on or
 // off — gated in tests/test_serve.cpp and bench_serve.
 //

@@ -4,22 +4,23 @@
 // IB-RAR scores each last-conv channel by HSIC(f_c, Y) and treats the
 // low-scoring ones as non-robust — the channels adversarial perturbations
 // exploit. The serving runtime streams that same signal over live traffic:
-// every Kth admitted request is sampled (its last-conv tap captured through
-// analysis::capture_taps), the sampled taps accumulate into a tumbling
-// scoring window, and each time the window fills the per-channel scores are
-// recomputed with mi::channel_label_scores (against the model's own
-// predictions — no ground truth exists at serving time; the parallel
-// per-channel loop keeps this affordable on a live worker, and the re-score
-// runs on a double-buffered copy of the window OUTSIDE the monitor mutex so
-// concurrent workers keep observing while one recomputes). A sampled
-// request's reply then carries a `suspicion` reading: the fraction of its
-// activation energy living in the currently low-scoring channels. Clean
-// traffic concentrates energy in robust channels; inputs pushed toward the
-// non-robust ones read high.
+// every Kth admitted request is sampled (the server hands over its row of the
+// last-conv tap the batch's own serving forward already computed — taps are
+// batch-size-independent, so this equals a batch-1 capture bit for bit), the
+// sampled taps accumulate into a tumbling scoring window, and each time the
+// window fills the per-channel scores are recomputed with
+// mi::channel_label_scores (against the model's own predictions — no ground
+// truth exists at serving time; the parallel per-channel loop keeps this
+// affordable on a live worker, and the re-score runs on a double-buffered
+// copy of the window OUTSIDE the monitor mutex so concurrent workers keep
+// observing while one recomputes). A sampled request's reply then carries a
+// `suspicion` reading: the fraction of its activation energy living in the
+// currently low-scoring channels. Clean traffic concentrates energy in robust
+// channels; inputs pushed toward the non-robust ones read high.
 //
-// Sampling every Kth request bounds the overhead to (1 capture forward +
-// O(C) energy sweep) / K requests, plus one windowed re-score per
-// window*K requests.
+// Telemetry runs no forward of its own. Each sampled request costs an
+// O(C * spatial) energy sweep plus a copy of its tap into the window; one
+// windowed HSIC re-score runs per window * K requests.
 
 #include <cstdint>
 #include <mutex>

@@ -1,6 +1,6 @@
 // Serving runtime: queue backpressure + drain, dual batch triggers,
-// batched-vs-singleton bit-identity, versioned hot-swap under live load, and
-// telemetry sampling cadence.
+// batched-vs-singleton bit-identity, versioned hot-swap under live load,
+// telemetry sampling cadence, and telemetry read from the batch's own forward.
 
 #include <gtest/gtest.h>
 
@@ -12,9 +12,11 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/capture.hpp"
 #include "models/registry.hpp"
 #include "nn/module.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "serve/batcher.hpp"
 #include "serve/model_registry.hpp"
@@ -762,6 +764,150 @@ TEST(Server, TelemetrySamplesEveryKthRequestAndScoresAfterWindow) {
   EXPECT_LE(replies[28].telemetry.suspicion, 1.0f);
   EXPECT_EQ(replies[28].telemetry.score_epoch, 1u);
   EXPECT_GE(replies[32].telemetry.suspicion, 0.0f);
+}
+
+// ---- telemetry from the batch's own forward (conv model) --------------------
+
+constexpr std::int64_t kVggConvs = 10;  // 5 blocks x 2 convs (models/vgg.hpp)
+
+models::TapClassifierPtr conv_model() {
+  models::ModelSpec spec;  // vgg16, 3 x 16 x 16
+  spec.num_classes = kClasses;
+  Rng rng(7);
+  return models::make_model(spec, rng);
+}
+
+std::vector<Tensor> conv_inputs(int n) {
+  std::vector<Tensor> inputs;
+  for (int i = 0; i < n; ++i) {
+    Rng rng(700 + static_cast<std::uint64_t>(i));
+    inputs.push_back(rand_uniform({3, 16, 16}, rng, 0.0f, 1.0f));
+  }
+  return inputs;
+}
+
+serve::TelemetryConfig conv_telemetry(std::int64_t sample_every) {
+  serve::TelemetryConfig t;
+  t.sample_every = sample_every;
+  t.window = 4;
+  return t;
+}
+
+struct ConvRun {
+  std::vector<serve::Reply> replies;
+  std::vector<float> scores;
+  serve::ServerStats stats;
+};
+
+// One worker, every request submitted up front: with max_batch > 1 the burst
+// coalesces under the long deadline, and the monitor still observes sampled
+// rows in admission order.
+ConvRun run_conv_burst(serve::ModelRegistry& reg,
+                       const std::vector<Tensor>& inputs,
+                       std::int64_t max_batch, std::int64_t sample_every) {
+  serve::ServeConfig cfg;
+  cfg.max_batch = max_batch;
+  cfg.deadline_us = 50'000;
+  cfg.queue_capacity = 64;
+  cfg.telemetry = conv_telemetry(sample_every);
+  serve::Server server(reg, cfg);
+  std::vector<std::future<serve::Reply>> futures;
+  for (const auto& x : inputs) futures.push_back(server.submit(x));
+  ConvRun run;
+  for (auto& f : futures) run.replies.push_back(f.get());
+  server.shutdown();
+  run.scores = server.monitor().channel_scores();
+  run.stats = server.stats();
+  return run;
+}
+
+bool same_bits(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(Server, ConvTelemetryFromBatchTapsMatchesSingletonAndCaptureOracle) {
+  serve::ModelRegistry reg;
+  reg.publish(conv_model(), {3, 16, 16});
+  const int n = 32;
+  const auto inputs = conv_inputs(n);
+
+  const ConvRun single = run_conv_burst(reg, inputs, 1, 2);
+  const ConvRun batched = run_conv_burst(reg, inputs, 8, 2);
+  EXPECT_GT(batched.stats.max_batch_observed, 1u);  // rows shared a batch
+
+  // Oracle: the pre-batch-tap server path — a batch-1 capture_taps forward
+  // per sampled request, fed to a monitor in admission order.
+  serve::RobustnessMonitor oracle(conv_telemetry(2));
+  const auto snap = reg.current();
+  const std::int64_t channels = snap->model->last_conv_channels();
+  for (int i = 0; i < n; ++i) {
+    const auto& s = single.replies[static_cast<std::size_t>(i)];
+    const auto& b = batched.replies[static_cast<std::size_t>(i)];
+    ASSERT_EQ(s.status, serve::ReplyStatus::kOk);
+    ASSERT_EQ(b.status, serve::ReplyStatus::kOk);
+    serve::RequestTelemetry want;
+    if (i % 2 == 0) {
+      data::Dataset one;
+      one.images = inputs[static_cast<std::size_t>(i)].reshape({1, 3, 16, 16});
+      one.labels = {0};
+      one.num_classes = kClasses;
+      const auto dump = analysis::capture_taps(
+          *snap->model, one, /*max_samples=*/-1, /*batch=*/1,
+          {snap->model->last_conv_tap_index()});
+      ASSERT_EQ(dump.preds[0], b.argmax);
+      want = oracle.observe(dump.taps[0].data().data(), channels,
+                            dump.taps[0].dim(1) / channels, dump.preds[0],
+                            kClasses);
+    }
+    for (const auto* got : {&s, &b}) {
+      EXPECT_EQ(got->telemetry.sampled, want.sampled) << "request " << i;
+      EXPECT_TRUE(same_bits(got->telemetry.suspicion, want.suspicion))
+          << "request " << i << ": " << got->telemetry.suspicion << " vs "
+          << want.suspicion;
+      EXPECT_EQ(got->telemetry.score_epoch, want.score_epoch)
+          << "request " << i;
+    }
+    EXPECT_EQ(std::memcmp(s.logits.data().data(), b.logits.data().data(),
+                          sizeof(float) * static_cast<std::size_t>(kClasses)),
+              0)
+        << "request " << i;
+  }
+  // 16 samples, window 4: four re-scores, so most suspicions were live.
+  EXPECT_EQ(oracle.score_epoch(), 4u);
+  const auto want_scores = oracle.channel_scores();
+  ASSERT_EQ(want_scores.size(), static_cast<std::size_t>(channels));
+  for (const auto* got : {&single.scores, &batched.scores}) {
+    ASSERT_EQ(got->size(), want_scores.size());
+    EXPECT_EQ(std::memcmp(got->data(), want_scores.data(),
+                          sizeof(float) * want_scores.size()),
+              0);
+  }
+}
+
+TEST(Server, TelemetryRunsNoForwardOfItsOwn) {
+  // Every conv call in a served batch belongs to that batch's one forward:
+  // with telemetry sampling every 2nd request the count must stay exactly
+  // kVggConvs per batch, as with telemetry off. The profiled site is the
+  // fused plan, or the layer-by-layer conv when IBRAR_EVAL_FUSED=0.
+  serve::ModelRegistry reg;
+  reg.publish(conv_model(), {3, 16, 16});
+  const char* site = reg.current()->model->fused_eval_ready()
+                         ? "tensor/conv_eval/fused"
+                         : "tensor/conv2d";
+  const auto inputs = conv_inputs(32);
+  const bool was_profiling = obs::profiling_enabled();
+  obs::set_profiling_enabled(true);
+  for (const std::int64_t sample_every : {0, 2}) {
+    obs::reset_profile();
+    const ConvRun run = run_conv_burst(reg, inputs, 8, sample_every);
+    std::uint64_t calls = 0;
+    for (const auto& e : obs::profile_table()) {
+      if (e.name == site) calls = e.calls;
+    }
+    EXPECT_EQ(run.stats.telemetry_samples, sample_every == 0 ? 0u : 16u);
+    EXPECT_GT(run.stats.batches, 0u);
+    EXPECT_EQ(calls, static_cast<std::uint64_t>(kVggConvs) * run.stats.batches)
+        << site << " with telemetry sample_every=" << sample_every;
+  }
+  obs::set_profiling_enabled(was_profiling);
 }
 
 }  // namespace

@@ -15,9 +15,8 @@
 //     is a same-seed model published with prepack=false (the layer-by-layer
 //     eval path), so this gate also pins the fused conv plans (tensor/
 //     conv_eval) to the reference numerics end-to-end;
-//   * backpressure contract: under a flood into a tiny queue, rejects carry
-//     kBusyRetryAfter with a clamped retry-after hint (the legacy hint-less
-//     kRejectedQueueFull never appears with busy_on_full on), every accepted
+//   * backpressure contract: under a flood into a tiny queue, every reject
+//     is kBusyRetryAfter with a clamped retry-after hint, every accepted
 //     request is served, and accepted + rejected == offered;
 //   * reply-cache contract: over a fixed-seed duplicate-heavy schedule the
 //     cache-on server's logits are memcmp-equal per request to a cache-off
@@ -87,7 +86,7 @@ struct LoadResult {
   double p95_ms = 0.0;
   double p99_ms = 0.0;
   double accuracy = 0.0;     ///< argmax == label over the served set
-  std::uint64_t max_batch_observed = 0;
+  double mean_batch = 0.0;    ///< mean serve.batch_occupancy, warmup included
 };
 
 /// Drive `clients` closed-loop client threads over the staged rows: client c
@@ -162,7 +161,7 @@ LoadResult run_closed_loop(serve::Server& server, const data::Dataset& ds,
   res.p99_ms = percentile(all, 0.99);
   res.accuracy = ok > 0 ? static_cast<double>(hits) / static_cast<double>(ok)
                         : 0.0;
-  res.max_batch_observed = server.stats().max_batch_observed;
+  res.mean_batch = server.stats().histograms.at("serve.batch_occupancy").mean();
   return res;
 }
 
@@ -381,7 +380,8 @@ struct TelemetryBurst {
   std::vector<serve::Reply> replies;
   std::vector<float> scores;
   std::uint64_t epochs = 0;
-  serve::ServerStats stats;
+  std::uint64_t batches = 0;  ///< serve.batches over the burst
+  std::uint64_t served = 0;   ///< serve.served over the burst
   std::uint64_t conv_calls = 0;
 };
 
@@ -412,7 +412,9 @@ TelemetryBurst run_telemetry_burst(serve::ModelRegistry& registry,
   server.shutdown();
   burst.scores = server.monitor().channel_scores();
   burst.epochs = server.monitor().score_epoch();
-  burst.stats = server.stats();
+  const auto counters = server.stats().counters;
+  burst.batches = counters.at("serve.batches");
+  burst.served = counters.at("serve.served");
   burst.conv_calls = site_calls() - calls_before;
   return burst;
 }
@@ -572,11 +574,11 @@ int main(int argc, char** argv) {
                                 ",deadline_us=" +
                                 std::to_string(pt.deadline_us);
       std::printf("  %-7s batched %-34s: %9.1f req/s  p50 %6.2f ms  p95 %6.2f "
-                  "ms  p99 %6.2f ms  acc %.3f  maxB %2llu  speedup %5.2fx  "
+                  "ms  p99 %6.2f ms  acc %.3f  meanB %4.1f  speedup %5.2fx  "
                   "bits %s\n",
                   mut.label.c_str(), shape.c_str(), r.throughput, r.p50_ms,
                   r.p95_ms, r.p99_ms, r.accuracy,
-                  static_cast<unsigned long long>(r.max_batch_observed),
+                  r.mean_batch,
                   speedup, bits_ok ? "OK" : "MISMATCH");
       add_row(reporter, "serve/" + mut.label + "/batched", shape, r, speedup,
               bits_ok, flops);
@@ -673,13 +675,18 @@ int main(int argc, char** argv) {
           off = run_schedule_loop(server, rows, schedule, dup_clients,
                                   off_logits);
         }
-        serve::ServerStats cache_stats;
+        std::uint64_t lookups = 0, hits = 0, misses = 0, joins = 0, served = 0;
         {
           cfg.cache_bytes = std::size_t{64} << 20;
           serve::Server server(registry, cfg);
           on = run_schedule_loop(server, rows, schedule, dup_clients,
                                  on_logits);
-          cache_stats = server.stats();
+          const auto c = server.stats().counters;
+          lookups = c.at("serve.cache.lookups");
+          hits = c.at("serve.cache.hits");
+          misses = c.at("serve.cache.misses");
+          joins = c.at("serve.cache.inflight_joins");
+          served = c.at("serve.served");
         }
 
         bool bits_ok = on_logits.size() == off_logits.size();
@@ -687,13 +694,10 @@ int main(int argc, char** argv) {
           bits_ok = tensor_bits_equal(on_logits[i], off_logits[i]);
         }
         const bool counts_ok =
-            cache_stats.cache_lookups ==
-                static_cast<std::uint64_t>(dup_total) &&
-            cache_stats.cache_hits ==
-                static_cast<std::uint64_t>(duplicates) &&
-            cache_stats.cache_misses ==
-                static_cast<std::uint64_t>(distinct) &&
-            cache_stats.served == static_cast<std::uint64_t>(distinct);
+            lookups == static_cast<std::uint64_t>(dup_total) &&
+            hits == static_cast<std::uint64_t>(duplicates) &&
+            misses == static_cast<std::uint64_t>(distinct) &&
+            served == static_cast<std::uint64_t>(distinct);
         const double speedup = on.throughput / off.throughput;
         std::printf("  %-7s cache dup=%.1f (%3lld distinct/%3lld)        : "
                     "%9.1f req/s off  %9.1f req/s on  speedup %5.2fx  hits "
@@ -701,9 +705,8 @@ int main(int argc, char** argv) {
                     mut.label.c_str(), dup, static_cast<long long>(distinct),
                     static_cast<long long>(dup_total), off.throughput,
                     on.throughput, speedup,
-                    static_cast<unsigned long long>(cache_stats.cache_hits),
-                    bits_ok ? "OK" : "MISMATCH",
-                    counts_ok ? "OK" : "WRONG");
+                    static_cast<unsigned long long>(hits),
+                    bits_ok ? "OK" : "MISMATCH", counts_ok ? "OK" : "WRONG");
         BenchRecord rec;
         rec.kernel = "serve/" + mut.label + "/cache";
         rec.shape = "dup=" + std::to_string(dup) +
@@ -712,14 +715,13 @@ int main(int argc, char** argv) {
         rec.ns_per_op = 1e9 / on.throughput;
         rec.gflops = flops / rec.ns_per_op;
         rec.threads = runtime::num_threads();
-        rec.checksum = static_cast<double>(cache_stats.cache_hits);
+        rec.checksum = static_cast<double>(hits);
         rec.speedup_vs_naive = speedup;  // vs the cache-off run
         rec.bit_identical = bits_ok && counts_ok;
-        rec.extra = {{"hits", static_cast<double>(cache_stats.cache_hits)},
-                     {"misses", static_cast<double>(cache_stats.cache_misses)},
-                     {"inflight_joins",
-                      static_cast<double>(cache_stats.cache_inflight_joins)},
-                     {"hit_rate", static_cast<double>(cache_stats.cache_hits) /
+        rec.extra = {{"hits", static_cast<double>(hits)},
+                     {"misses", static_cast<double>(misses)},
+                     {"inflight_joins", static_cast<double>(joins)},
+                     {"hit_rate", static_cast<double>(hits) /
                                       static_cast<double>(dup_total)}};
         reporter.add(rec);
         if (!bits_ok) {
@@ -735,13 +737,13 @@ int main(int argc, char** argv) {
               "(want %lld) hits %llu (want %lld) misses %llu (want %lld) "
               "served %llu (want %lld)\n",
               mut.label.c_str(), dup,
-              static_cast<unsigned long long>(cache_stats.cache_lookups),
+              static_cast<unsigned long long>(lookups),
               static_cast<long long>(dup_total),
-              static_cast<unsigned long long>(cache_stats.cache_hits),
+              static_cast<unsigned long long>(hits),
               static_cast<long long>(duplicates),
-              static_cast<unsigned long long>(cache_stats.cache_misses),
+              static_cast<unsigned long long>(misses),
               static_cast<long long>(distinct),
-              static_cast<unsigned long long>(cache_stats.served),
+              static_cast<unsigned long long>(served),
               static_cast<long long>(distinct));
           ++failures;
         }
@@ -791,18 +793,19 @@ int main(int argc, char** argv) {
       bits_ok = single.replies[i].ok() &&
                 replies_bits_equal(single.replies[i], batched.replies[i]);
     }
-    bool count_ok = batched.stats.max_batch_observed > 1;
+    // Some batch of the max_batch 8 burst carried more than one row.
+    bool count_ok = batched.served > batched.batches;
     for (const auto* b : {&single, &batched, &quiet}) {
-      count_ok = count_ok && b->conv_calls == kVggConvs * b->stats.batches;
+      count_ok = count_ok && b->conv_calls == kVggConvs * b->batches;
     }
     std::printf("  vgg16   telemetry every 2nd, max_batch 1 vs 8  : %s calls "
                 "%llu / %llu batches (off: %llu / %llu)  epochs %llu  bits %s"
                 "  count %s\n",
                 site.c_str(),
                 static_cast<unsigned long long>(batched.conv_calls),
-                static_cast<unsigned long long>(batched.stats.batches),
+                static_cast<unsigned long long>(batched.batches),
                 static_cast<unsigned long long>(quiet.conv_calls),
-                static_cast<unsigned long long>(quiet.stats.batches),
+                static_cast<unsigned long long>(quiet.batches),
                 static_cast<unsigned long long>(batched.epochs),
                 bits_ok ? "OK" : "MISMATCH", count_ok ? "OK" : "WRONG");
     BenchRecord rec;
@@ -812,11 +815,11 @@ int main(int argc, char** argv) {
     rec.threads = runtime::num_threads();
     rec.checksum = static_cast<double>(batched.conv_calls);
     rec.bit_identical = bits_ok && count_ok;
-    rec.extra = {{"batches", static_cast<double>(batched.stats.batches)},
+    rec.extra = {{"batches", static_cast<double>(batched.batches)},
                  {"conv_calls_per_batch",
                   static_cast<double>(batched.conv_calls) /
                       static_cast<double>(std::max<std::uint64_t>(
-                          batched.stats.batches, 1))}};
+                          batched.batches, 1))}};
     reporter.add(rec);
     if (!bits_ok) {
       std::fprintf(stderr, "FAIL: vgg16 telemetry at max_batch 8 differs "
@@ -843,16 +846,17 @@ int main(int argc, char** argv) {
     serve::Server server(telemetry_registry, cfg);
     const auto r = run_closed_loop(server, data.test, rows, total,
                                    /*clients=*/8, nullptr, warmup);
-    const auto stats = server.stats();
+    const std::uint64_t samples =
+        server.stats().counters.at("serve.telemetry.samples");
     std::printf("  telemetry every 8th : %9.1f req/s  p99 %6.2f ms  sampled "
                 "%llu  epochs %llu\n",
                 r.throughput, r.p99_ms,
-                static_cast<unsigned long long>(stats.telemetry_samples),
+                static_cast<unsigned long long>(samples),
                 static_cast<unsigned long long>(server.monitor().score_epoch()));
     add_row(reporter, "serve/telemetry",
             "clients=8,max_batch=8,deadline_us=2000,every=8", r, 0.0, true,
             flops_per_request("mlp256", chw, data.test.num_classes));
-    if (stats.telemetry_samples == 0) {
+    if (samples == 0) {
       std::fprintf(stderr, "FAIL: telemetry sampled nothing at every=8\n");
       ++failures;
     }
@@ -872,10 +876,9 @@ int main(int argc, char** argv) {
     for (std::int64_t i = 0; i < flood; ++i) {
       futures.push_back(server.submit(x));
     }
-    // With busy_on_full (the default) every queue-full reject must arrive as
-    // kBusyRetryAfter carrying a clamped hint; the legacy hint-less
-    // kRejectedQueueFull must never appear.
-    std::uint64_t ok = 0, busy = 0, legacy = 0, other = 0;
+    // Every queue-full reject must arrive as kBusyRetryAfter carrying a
+    // clamped hint.
+    std::uint64_t ok = 0, busy = 0, other = 0;
     bool hints_ok = true;
     for (auto& f : futures) {
       const auto r = f.get();
@@ -884,18 +887,17 @@ int main(int argc, char** argv) {
       } else if (r.status == serve::ReplyStatus::kBusyRetryAfter) {
         ++busy;
         hints_ok = hints_ok && r.retry_after_ms >= 1 && r.retry_after_ms <= 5000;
-      } else if (r.status == serve::ReplyStatus::kRejectedQueueFull) {
-        ++legacy;
       } else {
         ++other;
       }
     }
-    const auto stats = server.stats();
-    const bool contract_ok = other == 0 && legacy == 0 && hints_ok &&
+    const auto stats = server.stats().counters;
+    const bool contract_ok = other == 0 && hints_ok &&
                              ok + busy == static_cast<std::uint64_t>(flood) &&
-                             stats.accepted == ok &&
-                             stats.rejected_full == busy &&
-                             stats.admission_busy == busy && stats.served == ok;
+                             stats.at("serve.accepted") == ok &&
+                             stats.at("serve.rejected_full") == busy &&
+                             stats.at("serve.admission.busy") == busy &&
+                             stats.at("serve.served") == ok;
     std::printf("  backpressure flood   : offered %lld  served %llu  busy "
                 "%llu  contract %s\n",
                 static_cast<long long>(flood),
@@ -983,8 +985,8 @@ int main(int argc, char** argv) {
   // ---- open-loop saturation: busy-retry-after must dominate overload -------
   // A deliberately small queue behind an offered rate several times measured
   // capacity: the overload answer the socket sees must be kBusyRetryAfter
-  // with a usable hint on EVERY reject — the legacy hint-less status would
-  // force clients back to blind exponential backoff.
+  // with a usable hint on EVERY reject — a hint-less reject would force
+  // clients back to blind exponential backoff.
   if (full_sections) {
     serve::ServeConfig cfg;
     cfg.max_batch = 4;

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
 #include <utility>
+#include <vector>
 
 namespace ibrar::obs {
 
@@ -121,31 +121,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return out;
 }
 
-std::size_t MetricsRegistry::retire_counters(const std::string& prefix,
-                                             const std::string& fold_prefix) {
-  if (prefix.empty()) return 0;
-  if (fold_prefix.compare(0, prefix.size(), prefix) == 0) {
-    // The fold targets would land back inside the retire range and be
-    // re-folded forever.
-    throw std::invalid_argument(
-        "MetricsRegistry::retire_counters: fold_prefix must not start with "
-        "prefix");
-  }
-  std::lock_guard<std::mutex> lk(mu_);
-  std::size_t retired = 0;
-  for (auto it = counters_.lower_bound(prefix); it != counters_.end();) {
-    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-    const std::string folded = fold_prefix + it->first.substr(prefix.size());
-    auto& slot = counters_[folded];  // map inserts never invalidate `it`
-    if (!slot) slot = std::make_shared<Counter>();
-    slot->inc(it->second->value());
-    retired_.push_back(std::move(it->second));
-    it = counters_.erase(it);
-    ++retired;
-  }
-  return retired;
-}
-
 std::size_t MetricsRegistry::size() const {
   std::lock_guard<std::mutex> lk(mu_);
   return counters_.size() + gauges_.size() + histograms_.size();
@@ -156,7 +131,6 @@ void MetricsRegistry::reset() {
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
-  retired_.clear();
 }
 
 namespace {
@@ -255,6 +229,24 @@ std::string MetricsSnapshot::to_prometheus() const {
     out += n + "_bucket{le=\"+Inf\"} " + std::to_string(h.count) + "\n";
     out += n + "_sum " + prom_num(h.sum) + "\n";
     out += n + "_count " + std::to_string(h.count) + "\n";
+  }
+  return out;
+}
+
+MetricsSnapshot MetricsSnapshot::since(const MetricsSnapshot& base) const {
+  MetricsSnapshot out = *this;
+  for (auto& [name, v] : out.counters) {
+    const auto it = base.counters.find(name);
+    if (it != base.counters.end()) v -= it->second;
+  }
+  for (auto& [name, h] : out.histograms) {
+    const auto it = base.histograms.find(name);
+    if (it == base.histograms.end()) continue;
+    h.count -= it->second.count;
+    h.sum -= it->second.sum;
+    for (std::size_t b = 0; b < h.buckets.size(); ++b) {
+      h.buckets[b] -= it->second.buckets[b];
+    }
   }
   return out;
 }

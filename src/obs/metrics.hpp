@@ -34,7 +34,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 namespace ibrar::obs {
 
@@ -206,6 +205,14 @@ struct MetricsSnapshot {
   /// always closed with the mandatory `le="+Inf"` bucket. This is what the
   /// admin endpoint's GET /metrics serves.
   std::string to_prometheus() const;
+
+  /// This snapshot minus an earlier `base` of the same registry: counters
+  /// and histogram count/sum/buckets are subtracted, with a name missing
+  /// from `base` counting as 0. Gauges and histogram `max` are levels, not
+  /// totals, so they keep this (later) snapshot's value. Lets one registry
+  /// report per-owner deltas, e.g. Server::stats() against its
+  /// construction-time snapshot.
+  MetricsSnapshot since(const MetricsSnapshot& base) const;
 };
 
 /// Name -> metric map. Creation takes a mutex; returned references are
@@ -224,21 +231,7 @@ class MetricsRegistry {
 
   MetricsSnapshot snapshot() const;
 
-  /// Retire-and-fold: every counter whose name starts with `prefix` has its
-  /// current value added to the counter named `fold_prefix` + the remaining
-  /// suffix, then leaves the registry (snapshots and the Prometheus export
-  /// stop listing it). This is the cardinality bound for per-instance
-  /// families like serve.version.<v>.*: hot-swap N times and the registry
-  /// holds the live version's counters plus one retired.* aggregate set,
-  /// not N generations of dead names. Storage for retired counters is
-  /// parked, not freed, so a stale `Counter&` handle held across the retire
-  /// stays valid (its increments after the fold are dropped from the
-  /// aggregate — retire when the family is quiescent). Returns the number of
-  /// counters retired.
-  std::size_t retire_counters(const std::string& prefix,
-                              const std::string& fold_prefix);
-
-  /// Number of live (non-retired) metrics, all kinds.
+  /// Number of metrics, all kinds.
   std::size_t size() const;
 
   /// Drop every metric (handles become dangling — test isolation only).
@@ -249,8 +242,6 @@ class MetricsRegistry {
   std::map<std::string, std::shared_ptr<Counter>> counters_;
   std::map<std::string, std::shared_ptr<Gauge>> gauges_;
   std::map<std::string, std::shared_ptr<Histogram>> histograms_;
-  /// Retired counters parked here so stale handles never dangle.
-  std::vector<std::shared_ptr<Counter>> retired_;
 };
 
 /// The process-global registry every subsystem records into.

@@ -170,8 +170,9 @@ void register_default_serve_slos() {
     SloSpec s;
     s.name = "serve_reject_rate";
     s.kind = SloSpec::Kind::kRatio;
-    s.bad_series = {"serve.rejected_full", "serve.admission.busy",
-                    "serve.admission.throttled"};
+    // Every queue-full reply bumps both serve.rejected_full and
+    // serve.admission.busy; count it once.
+    s.bad_series = {"serve.rejected_full", "serve.admission.throttled"};
     s.good_series = "serve.accepted";
     s.objective = 0.05;  // at most 5% of traffic turned away
     slos().add(std::move(s));

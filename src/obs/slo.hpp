@@ -135,7 +135,7 @@ SloRegistry& slos();
 
 /// Install the default serving SLOs (idempotent):
 ///   serve_compute_p99 — p99 of serve.compute_ns under 500ms
-///   serve_reject_rate — rejections+busy+throttled under 5% of traffic
+///   serve_reject_rate — queue-full rejects + throttles under 5% of traffic
 ///   serve_cache_miss_rate — cache misses under 99% of lookups
 void register_default_serve_slos();
 

@@ -43,7 +43,7 @@ struct Cursor {
     if (left < bytes) {
       throw std::runtime_error("wire: truncated frame");
     }
-    std::memcpy(dst, p, bytes);
+    if (bytes > 0) std::memcpy(dst, p, bytes);  // an empty dst may be null
     p += bytes;
     left -= bytes;
   }
@@ -85,8 +85,6 @@ WireStatus to_wire(ReplyStatus s) {
   switch (s) {
     case ReplyStatus::kOk:
       return WireStatus::kOk;
-    case ReplyStatus::kRejectedQueueFull:
-      return WireStatus::kRejectedQueueFull;
     case ReplyStatus::kRejectedShutdown:
       return WireStatus::kRejectedShutdown;
     case ReplyStatus::kRejectedStaleShape:
@@ -165,8 +163,10 @@ std::vector<std::uint8_t> encode_reply(const ReplyFrame& f) {
   put<std::uint32_t>(buf, static_cast<std::uint32_t>(f.logits.size()));
   const std::size_t at = buf.size();
   buf.resize(at + sizeof(float) * f.logits.size());
-  std::memcpy(buf.data() + at, f.logits.data(),
-              sizeof(float) * f.logits.size());
+  if (!f.logits.empty()) {  // a failure reply's empty logits have null data()
+    std::memcpy(buf.data() + at, f.logits.data(),
+                sizeof(float) * f.logits.size());
+  }
   if (buf.size() > kMaxFrameBytes) {
     throw std::runtime_error("encode_reply: frame exceeds kMaxFrameBytes");
   }
@@ -209,11 +209,17 @@ ReplyFrame decode_reply(const std::uint8_t* p, std::size_t n) {
   }
   ReplyFrame f;
   f.id = c.get<std::uint64_t>();
-  const auto status = c.get<std::uint8_t>();
-  if (status > static_cast<std::uint8_t>(WireStatus::kBusyRetryAfter)) {
-    throw std::runtime_error("decode_reply: unknown status");
+  f.status = static_cast<WireStatus>(c.get<std::uint8_t>());
+  switch (f.status) {  // the code space has a gap: accept named codes only
+    case WireStatus::kOk:
+    case WireStatus::kRejectedShutdown:
+    case WireStatus::kRejectedStaleShape:
+    case WireStatus::kBadRequest:
+    case WireStatus::kBusyRetryAfter:
+      break;
+    default:
+      throw std::runtime_error("decode_reply: unknown status");
   }
-  f.status = static_cast<WireStatus>(status);
   f.model_version = c.get<std::uint64_t>();
   f.argmax = c.get<std::int64_t>();
   f.queue_ns = c.get<std::int64_t>();

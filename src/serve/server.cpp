@@ -12,18 +12,8 @@
 #include "util/env.hpp"
 
 namespace ibrar::serve {
-namespace {
 
 using obs::now_ns;
-
-void bump_max(std::atomic<std::uint64_t>& target, std::uint64_t v) {
-  std::uint64_t cur = target.load(std::memory_order_relaxed);
-  while (cur < v &&
-         !target.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
 
 ServeConfig ServeConfig::from_env() {
   ServeConfig cfg;
@@ -88,7 +78,7 @@ Server::Server(ModelRegistry& registry, ServeConfig cfg)
   // Any workers/telemetry combination is safe: snapshots are
   // shared_ptr<const TapClassifier>, so the serving forward (whose taps also
   // feed telemetry) can only take the strictly-const eval path.
-  base_ = read_totals();
+  base_ = obs::registry().snapshot();
   workers_.reserve(static_cast<std::size_t>(cfg_.workers));
   for (std::int64_t w = 0; w < cfg_.workers; ++w) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -206,18 +196,14 @@ std::future<Reply> Server::submit(Tensor input, std::uint64_t client_id) {
       // every push can be rejected, and the gauge would otherwise freeze at
       // whatever the last accepted push recorded.
       g_queue_depth_.set(static_cast<double>(queue_.size()));
+      // CUPS-style busy: say WHEN to come back — roughly how long the
+      // backlog ahead takes to drain at the measured service rate.
       Reply reply;
+      reply.status = ReplyStatus::kBusyRetryAfter;
+      reply.retry_after_ms = admission_.retry_after_ms(queue_.size());
       reply.model_version = snap->version;
-      if (cfg_.busy_on_full) {
-        // CUPS-style busy: say WHEN to come back — roughly how long the
-        // backlog ahead takes to drain at the measured service rate.
-        reply.status = ReplyStatus::kBusyRetryAfter;
-        reply.retry_after_ms = admission_.retry_after_ms(queue_.size());
-        c_admission_busy_.inc();
-        h_retry_after_ms_.observe(static_cast<double>(reply.retry_after_ms));
-      } else {
-        reply.status = ReplyStatus::kRejectedQueueFull;
-      }
+      c_admission_busy_.inc();
+      h_retry_after_ms_.observe(static_cast<double>(reply.retry_after_ms));
       fail_request(r, std::move(reply));
       break;
     }
@@ -333,7 +319,6 @@ void Server::serve_batch(MicroBatch& batch) {
   c_served_.inc(static_cast<std::uint64_t>(bsz));
   h_compute_ns_.observe(static_cast<double>(compute_ns));
   h_batch_occupancy_.observe(static_cast<double>(bsz));
-  bump_max(max_batch_observed_, static_cast<std::uint64_t>(bsz));
   g_batch_max_.set_max(static_cast<double>(bsz));
   switch (batch.trigger) {
     case BatchTrigger::kSize:
@@ -345,32 +330,6 @@ void Server::serve_batch(MicroBatch& batch) {
     case BatchTrigger::kDrain:
       c_drain_triggers_.inc();
       break;
-  }
-  // Per-model-version attribution (counters created on first use; one
-  // registry lookup per batch, amortized across its rows). Cardinality is
-  // bounded across hot-swaps: the first worker to observe a new version (CAS
-  // winner) folds the previous version's family into the
-  // serve.version.retired.* aggregates, so the registry carries the live
-  // generation plus one retired set, never N generations of dead names. A
-  // straggler batch still pinned to the old snapshot may transiently
-  // re-create its family; the next swap folds that too.
-  {
-    std::uint64_t prev = last_version_.load(std::memory_order_relaxed);
-    if (prev != snap->version &&
-        last_version_.compare_exchange_strong(prev, snap->version,
-                                              std::memory_order_relaxed)) {
-      if (prev != 0) {
-        obs::registry().retire_counters(
-            "serve.version." + std::to_string(prev) + ".",
-            "serve.version.retired.");
-      }
-    }
-    const std::string prefix =
-        "serve.version." + std::to_string(snap->version);
-    obs::registry().counter(prefix + ".requests")
-        .inc(static_cast<std::uint64_t>(bsz));
-    obs::registry().counter(prefix + ".compute_ns")
-        .inc(static_cast<std::uint64_t>(compute_ns));
   }
 
   for (std::int64_t i = 0; i < bsz; ++i) {
@@ -420,54 +379,8 @@ void Server::serve_batch(MicroBatch& batch) {
   }
 }
 
-ServerStats Server::read_totals() const {
-  ServerStats s;
-  s.accepted = c_accepted_.value();
-  s.rejected_full = c_rejected_full_.value();
-  s.rejected_shutdown = c_rejected_shutdown_.value();
-  s.rejected_stale = c_rejected_stale_.value();
-  s.served = c_served_.value();
-  s.batches = c_batches_.value();
-  s.size_triggers = c_size_triggers_.value();
-  s.deadline_triggers = c_deadline_triggers_.value();
-  s.drain_triggers = c_drain_triggers_.value();
-  s.telemetry_samples = c_telemetry_samples_.value();
-  // Cache/admission counters: resolved by name — read_totals runs at
-  // construction and inside stats(), never on the serving hot path.
-  auto& reg = obs::registry();
-  s.cache_lookups = reg.counter("serve.cache.lookups").value();
-  s.cache_hits = reg.counter("serve.cache.hits").value();
-  s.cache_misses = reg.counter("serve.cache.misses").value();
-  s.cache_inflight_joins = reg.counter("serve.cache.inflight_joins").value();
-  s.cache_evictions = reg.counter("serve.cache.evictions").value();
-  s.cache_invalidations = reg.counter("serve.cache.invalidations").value();
-  s.admission_busy = c_admission_busy_.value();
-  s.admission_throttled = c_admission_throttled_.value();
-  return s;
-}
-
-ServerStats Server::stats() const {
-  ServerStats s = read_totals();
-  s.accepted -= base_.accepted;
-  s.rejected_full -= base_.rejected_full;
-  s.rejected_shutdown -= base_.rejected_shutdown;
-  s.rejected_stale -= base_.rejected_stale;
-  s.served -= base_.served;
-  s.batches -= base_.batches;
-  s.size_triggers -= base_.size_triggers;
-  s.deadline_triggers -= base_.deadline_triggers;
-  s.drain_triggers -= base_.drain_triggers;
-  s.telemetry_samples -= base_.telemetry_samples;
-  s.cache_lookups -= base_.cache_lookups;
-  s.cache_hits -= base_.cache_hits;
-  s.cache_misses -= base_.cache_misses;
-  s.cache_inflight_joins -= base_.cache_inflight_joins;
-  s.cache_evictions -= base_.cache_evictions;
-  s.cache_invalidations -= base_.cache_invalidations;
-  s.admission_busy -= base_.admission_busy;
-  s.admission_throttled -= base_.admission_throttled;
-  s.max_batch_observed = max_batch_observed_.load(std::memory_order_relaxed);
-  return s;
+obs::MetricsSnapshot Server::stats() const {
+  return obs::registry().snapshot().since(base_);
 }
 
 }  // namespace ibrar::serve

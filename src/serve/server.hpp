@@ -31,10 +31,9 @@
 //
 // Admission control (serve/admission.hpp): per-client token buckets and
 // in-flight caps keyed on the client id (0 for in-process callers without
-// one), plus busy-instead-of-reject — with cfg.busy_on_full (default on) a
-// full queue answers kBusyRetryAfter carrying a retry-after hint computed
-// from queue depth / measured service rate, instead of the hint-less
-// kRejectedQueueFull.
+// one), plus busy-instead-of-reject — a full queue answers kBusyRetryAfter
+// carrying a retry-after hint computed from queue depth / measured service
+// rate.
 //
 // Observability (src/obs): the server records into the process-global
 // obs::registry() — serve.* counters for admission/trigger/telemetry events,
@@ -43,13 +42,12 @@
 // serve.admission.{busy,throttled} with the serve.admission.retry_after_ms
 // histogram, serve.queue_depth / serve.batch_max gauges, and latency
 // histograms serve.queue_wait_ns / serve.compute_ns / serve.batch_occupancy /
-// serve.suspicion (full name table in README). Per model version it bumps
-// serve.version.<v>.requests and serve.version.<v>.compute_ns. When request
-// tracing is on (IBRAR_OBS_TRACE_SAMPLE=K), every Kth admitted request emits
-// the span chain admission -> queue_wait -> batch_assembly -> compute ->
-// telemetry_rescore -> reply, exportable via obs::dump_trace(). Observation
-// never changes computation: logits are bit-identical with every knob on or
-// off.
+// serve.suspicion (full name table in README). Replies and trace spans
+// carry the serving model version. When request tracing is on
+// (IBRAR_OBS_TRACE_SAMPLE=K), every Kth admitted request emits the span chain
+// admission -> queue_wait -> batch_assembly -> compute -> telemetry_rescore ->
+// reply, exportable via obs::dump_trace(). Observation never changes
+// computation: logits are bit-identical with every knob on or off.
 //
 // Environment knobs (defaults in ServeConfig::from_env):
 //   IBRAR_SERVE_MAX_BATCH    micro-batch row cap            (default 8)
@@ -103,45 +101,11 @@ struct ServeConfig {
   double client_burst = 0.0;
   /// Per-client in-flight cap; 0 = unlimited.
   std::int64_t max_inflight_per_client = 0;
-  /// Full queue answers kBusyRetryAfter + hint (default) instead of the
-  /// legacy hint-less kRejectedQueueFull.
-  bool busy_on_full = true;
 
   /// Defaults overridden by IBRAR_SERVE_MAX_BATCH / _DEADLINE_US /
   /// _QUEUE_CAP / _WORKERS / _CACHE_MB / _CLIENT_RATE / _CLIENT_BURST /
   /// _MAX_INFLIGHT.
   static ServeConfig from_env();
-};
-
-/// Per-server counter view. The underlying metrics live in the process-global
-/// obs::registry() (names in server.hpp's header comment); this struct is the
-/// compatibility shim — Server::stats() subtracts the construction-time
-/// baseline, so each Server still reports its own traffic even though the
-/// registry is cumulative across server instances. Each value is an exact
-/// merged read of its counter; values across fields are mutually consistent
-/// once the server is quiescent (drained or shut down).
-struct ServerStats {
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected_full = 0;
-  std::uint64_t rejected_shutdown = 0;
-  std::uint64_t rejected_stale = 0;  ///< queued before an input-shape hot-swap
-  std::uint64_t served = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t size_triggers = 0;
-  std::uint64_t deadline_triggers = 0;
-  std::uint64_t drain_triggers = 0;
-  std::uint64_t max_batch_observed = 0;
-  std::uint64_t telemetry_samples = 0;
-  // Reply cache + admission control (PR 9). cache_hits includes
-  // cache_inflight_joins; cache_hits + cache_misses == cache_lookups.
-  std::uint64_t cache_lookups = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_inflight_joins = 0;
-  std::uint64_t cache_evictions = 0;
-  std::uint64_t cache_invalidations = 0;
-  std::uint64_t admission_busy = 0;       ///< queue-full busy replies
-  std::uint64_t admission_throttled = 0;  ///< per-client denials
 };
 
 class Server {
@@ -164,7 +128,12 @@ class Server {
   /// Stop admission, drain accepted requests, join workers. Idempotent.
   void shutdown();
 
-  ServerStats stats() const;
+  /// This server's traffic: the obs::registry() snapshot minus the one
+  /// taken at construction (MetricsSnapshot::since), so counters and
+  /// histograms are per-server deltas even though the registry is cumulative
+  /// across instances; gauges are process-wide levels. Exact across metrics
+  /// once the server is quiescent (drained or shut down).
+  obs::MetricsSnapshot stats() const;
   const ServeConfig& config() const { return cfg_; }
   RobustnessMonitor& monitor() { return monitor_; }
   ReplyCache& cache() { return cache_; }
@@ -176,7 +145,6 @@ class Server {
   /// Resolve a request rejected before the queue: aborts its cache
   /// leadership (fanning `reply` to any joiners) and fails its promise.
   void fail_request(Request& r, Reply reply);
-  ServerStats read_totals() const;  ///< cumulative registry values
 
   ModelRegistry& registry_;
   ServeConfig cfg_;
@@ -211,14 +179,7 @@ class Server {
   obs::Histogram& h_suspicion_;
 
   /// Registry values at construction — the baseline stats() subtracts.
-  ServerStats base_;
-  /// Per-server high-water mark (a max cannot be delta'd out of the global
-  /// gauge, so it is tracked locally and mirrored into serve.batch_max).
-  std::atomic<std::uint64_t> max_batch_observed_{0};
-  /// Last model version whose serve.version.<v>.* family is live; the CAS
-  /// winner on a version change retires the previous family into
-  /// serve.version.retired.* (0 = none seen yet).
-  std::atomic<std::uint64_t> last_version_{0};
+  obs::MetricsSnapshot base_;
 };
 
 }  // namespace ibrar::serve

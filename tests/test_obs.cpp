@@ -153,6 +153,45 @@ TEST(Metrics, RegistryHandlesAreStableAndSnapshotSeesThem) {
   EXPECT_EQ(json.find('\n'), std::string::npos);  // one JSON object, one line
 }
 
+TEST(Metrics, SnapshotSinceSubtractsTotalsAndPassesLevelsThrough) {
+  obs::MetricsRegistry reg;
+  reg.counter("test.requests").inc(7);
+  reg.gauge("test.depth").set(5.0);
+  obs::Histogram& lat = reg.histogram("test.lat");
+  lat.observe(4.0);
+  lat.observe(100.0);
+  const obs::MetricsSnapshot base = reg.snapshot();
+
+  reg.counter("test.requests").inc(3);
+  reg.counter("test.late").inc(2);  // created after the base snapshot
+  reg.gauge("test.depth").set(2.0);
+  lat.observe(4.0);
+  lat.observe(1000.0);
+  const obs::MetricsSnapshot now = reg.snapshot();
+  const obs::MetricsSnapshot d = now.since(base);
+
+  EXPECT_EQ(d.counters.at("test.requests"), 3u);
+  EXPECT_EQ(d.counters.at("test.late"), 2u);  // absent from base: counts as 0
+  EXPECT_DOUBLE_EQ(d.gauges.at("test.depth"), 2.0);  // level, not delta
+  const obs::HistogramSnapshot& h = d.histograms.at("test.lat");
+  EXPECT_EQ(h.count, 2u);
+  EXPECT_DOUBLE_EQ(h.sum, 1004.0);
+  EXPECT_DOUBLE_EQ(h.max, 1000.0);  // the later snapshot's max
+  for (int b = 0; b < obs::kHistBuckets; ++b) {
+    const auto i = static_cast<std::size_t>(b);
+    EXPECT_EQ(h.buckets[i],
+              now.histograms.at("test.lat").buckets[i] -
+                  base.histograms.at("test.lat").buckets[i])
+        << "bucket " << b;
+  }
+  const auto bucket_of = [&](double v) {
+    return h.buckets[static_cast<std::size_t>(obs::detail::hist_bucket(v))];
+  };
+  EXPECT_EQ(bucket_of(4.0), 1u);
+  EXPECT_EQ(bucket_of(100.0), 0u);  // observed only before the base
+  EXPECT_EQ(bucket_of(1000.0), 1u);
+}
+
 // ---- tracing ----------------------------------------------------------------
 
 TEST(Trace, SamplingCadenceGatesByIndex) {
@@ -341,9 +380,9 @@ TEST(ServerObs, StatsAreBaselineDeltaedPerServerInstance) {
     serve::Server a(reg, cfg);
     for (int i = 0; i < 3; ++i) a.submit(sample_input(i)).get();
     a.shutdown();
-    const serve::ServerStats sa = a.stats();
-    EXPECT_EQ(sa.accepted, 3u);
-    EXPECT_EQ(sa.served, 3u);
+    const obs::MetricsSnapshot sa = a.stats();
+    EXPECT_EQ(sa.counters.at("serve.accepted"), 3u);
+    EXPECT_EQ(sa.counters.at("serve.served"), 3u);
   }
   {
     // The registry keeps cumulating, but a fresh server reports only its own
@@ -351,12 +390,14 @@ TEST(ServerObs, StatsAreBaselineDeltaedPerServerInstance) {
     serve::Server b(reg, cfg);
     for (int i = 0; i < 2; ++i) b.submit(sample_input(i)).get();
     b.shutdown();
-    const serve::ServerStats sb = b.stats();
-    EXPECT_EQ(sb.accepted, 2u);
-    EXPECT_EQ(sb.served, 2u);
-    EXPECT_GE(sb.batches, 1u);
-    EXPECT_EQ(sb.size_triggers + sb.deadline_triggers + sb.drain_triggers,
-              sb.batches);
+    const obs::MetricsSnapshot sb = b.stats();
+    const auto& cb = sb.counters;
+    EXPECT_EQ(cb.at("serve.accepted"), 2u);
+    EXPECT_EQ(cb.at("serve.served"), 2u);
+    EXPECT_GE(cb.at("serve.batches"), 1u);
+    EXPECT_EQ(cb.at("serve.trigger.size") + cb.at("serve.trigger.deadline") +
+                  cb.at("serve.trigger.drain"),
+              cb.at("serve.batches"));
   }
   // The global registry saw both servers.
   const obs::MetricsSnapshot snap = obs::registry().snapshot();

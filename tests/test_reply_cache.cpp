@@ -166,12 +166,13 @@ TEST(ReplyCache, HitBitIdenticalToRecomputeAcrossWorkersAndTelemetry) {
       EXPECT_EQ(hit.batch_size, 0);
       EXPECT_FALSE(hit.telemetry.sampled);
 
-      const auto stats = server.stats();
-      EXPECT_EQ(stats.cache_lookups, 2u);
-      EXPECT_EQ(stats.cache_hits, 1u);
-      EXPECT_EQ(stats.cache_misses, 1u);
-      EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.cache_lookups);
-      EXPECT_EQ(stats.served, 1u);  // one compute covered both requests
+      const auto stats = server.stats().counters;
+      EXPECT_EQ(stats.at("serve.cache.lookups"), 2u);
+      EXPECT_EQ(stats.at("serve.cache.hits"), 1u);
+      EXPECT_EQ(stats.at("serve.cache.misses"), 1u);
+      EXPECT_EQ(stats.at("serve.cache.hits") + stats.at("serve.cache.misses"),
+                stats.at("serve.cache.lookups"));
+      EXPECT_EQ(stats.at("serve.served"), 1u);  // one compute covered both
     }
   }
 }
@@ -250,9 +251,10 @@ TEST(ReplyCache, VersionChangeInvalidatesAcrossHotSwap) {
   EXPECT_TRUE(bits_equal(v2_hit.logits, v2_first.logits));
   EXPECT_EQ(v2_hit.model_version, 2u);
 
-  const auto stats = server.stats();
-  EXPECT_GE(stats.cache_invalidations, 1u);
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.cache_lookups);
+  const auto stats = server.stats().counters;
+  EXPECT_GE(stats.at("serve.cache.invalidations"), 1u);
+  EXPECT_EQ(stats.at("serve.cache.hits") + stats.at("serve.cache.misses"),
+            stats.at("serve.cache.lookups"));
   // Invalidation dropped the v1 bytes before the v2 entry was stored; the
   // gauge never double-counts the dead version.
   EXPECT_LE(g_bytes.value(), bytes_warm);
@@ -298,13 +300,14 @@ TEST(ReplyCache, ConcurrentIdenticalRequestsRideOneCompute) {
     EXPECT_EQ(r.model_version, leader.model_version);
   }
 
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.cache_inflight_joins, static_cast<std::uint64_t>(kJoiners));
-  EXPECT_EQ(stats.cache_hits, static_cast<std::uint64_t>(kJoiners));
-  EXPECT_EQ(stats.cache_misses, 1u);
-  EXPECT_EQ(stats.served, 1u);   // one row computed
-  EXPECT_EQ(stats.batches, 1u);  // in one batch
-  EXPECT_EQ(stats.accepted, 1u);  // joiners never touched the queue
+  const auto stats = server.stats().counters;
+  const auto joiners = static_cast<std::uint64_t>(kJoiners);
+  EXPECT_EQ(stats.at("serve.cache.inflight_joins"), joiners);
+  EXPECT_EQ(stats.at("serve.cache.hits"), joiners);
+  EXPECT_EQ(stats.at("serve.cache.misses"), 1u);
+  EXPECT_EQ(stats.at("serve.served"), 1u);    // one row computed
+  EXPECT_EQ(stats.at("serve.batches"), 1u);   // in one batch
+  EXPECT_EQ(stats.at("serve.accepted"), 1u);  // joiners never queued
 }
 
 // ---- gauge freshness (the PR 7 queue_depth contract, for cache bytes) -------
@@ -327,7 +330,7 @@ TEST(ReplyCache, BytesGaugeFallsOnEvictionInvalidationAndZeroAfterShutdown) {
       peak = std::max(peak, g_bytes.value());
     }
     // The budget held live bytes down even though 12 entries were stored.
-    EXPECT_GT(server.stats().cache_evictions, 0u);
+    EXPECT_GT(server.stats().counters.at("serve.cache.evictions"), 0u);
     EXPECT_LE(server.cache().bytes(), std::size_t{2048});
     EXPECT_LE(g_bytes.value() - before, 2048.0);
 
@@ -430,9 +433,9 @@ TEST(Admission, TokenBucketIsolatesTheChattyClient) {
   // Client 8 is untouched by 7's exhaustion — fairness by isolation.
   EXPECT_TRUE(server.submit(sample_input(60), 8).get().ok());
 
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.admission_throttled, 1u);
-  EXPECT_EQ(stats.admission_busy, 0u);
+  const auto stats = server.stats().counters;
+  EXPECT_EQ(stats.at("serve.admission.throttled"), 1u);
+  EXPECT_EQ(stats.at("serve.admission.busy"), 0u);
 }
 
 TEST(Admission, ThrottledLeaderFansTheBusyStatusToJoiners) {

@@ -17,11 +17,13 @@
 #include "nn/module.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
+#include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "serve/batcher.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/server.hpp"
+#include "tensor/conv_eval.hpp"
 #include "tensor/random.hpp"
 #include "util/rng.hpp"
 
@@ -68,9 +70,9 @@ TEST(RequestQueue, BackpressureRejectsWithoutConsuming) {
   // The rejected request was NOT moved from: its promise is still usable.
   auto fut = c.promise.get_future();
   serve::Reply reply;
-  reply.status = serve::ReplyStatus::kRejectedQueueFull;
+  reply.status = serve::ReplyStatus::kBusyRetryAfter;
   c.promise.set_value(std::move(reply));
-  EXPECT_EQ(fut.get().status, serve::ReplyStatus::kRejectedQueueFull);
+  EXPECT_EQ(fut.get().status, serve::ReplyStatus::kBusyRetryAfter);
   EXPECT_EQ(q.size(), 2u);
 }
 
@@ -228,7 +230,9 @@ TEST(ModelRegistry, SnapshotBytesGaugeTracksPrepackAcrossHotSwap) {
   // the bytes live exactly as long as the last pinned snapshot of that
   // version. The gauge is process-global, so assert deltas, not absolutes.
   // Panel sizes are whole byte counts (integers in double), so the sums
-  // compare exactly.
+  // compare exactly. Under IBRAR_EVAL_FUSED=0 publish builds no plan: the
+  // disabled contract is that the gauge stays at `base` throughout.
+  const bool fused = fused_eval_enabled();
   auto& gauge = obs::registry().gauge("serve.snapshot_bytes");
   const double base = gauge.value();
   models::ModelSpec spec;  // vgg16
@@ -238,8 +242,12 @@ TEST(ModelRegistry, SnapshotBytesGaugeTracksPrepackAcrossHotSwap) {
     Rng rng1(1);
     reg.publish(models::make_model(spec, rng1), {3, 8, 8}, "v1");
     const double v1_bytes = gauge.value() - base;
-    EXPECT_GT(v1_bytes, 0.0);
-    EXPECT_TRUE(reg.current()->model->fused_eval_ready());
+    if (fused) {
+      EXPECT_GT(v1_bytes, 0.0);
+    } else {
+      EXPECT_EQ(v1_bytes, 0.0);
+    }
+    EXPECT_EQ(reg.current()->model->fused_eval_ready(), fused);
 
     // Pin v1 like an in-flight batch would, then hot-swap to v2: both
     // versions' panels are live until the pin drops.
@@ -316,19 +324,25 @@ TEST(Server, ShutdownDrainsEveryAcceptedRequest) {
     }
   }
   const auto stats = server->stats();
-  EXPECT_EQ(ok, stats.accepted);
-  EXPECT_EQ(ok, stats.served);
-  EXPECT_EQ(rejected, stats.rejected_full);
+  EXPECT_EQ(ok, stats.counters.at("serve.accepted"));
+  EXPECT_EQ(ok, stats.counters.at("serve.served"));
+  EXPECT_EQ(rejected, stats.counters.at("serve.rejected_full"));
   // Post-shutdown submissions resolve immediately with the shutdown status.
   auto late = server->submit(sample_input(99));
   EXPECT_EQ(late.get().status, serve::ReplyStatus::kRejectedShutdown);
-  EXPECT_EQ(server->stats().rejected_shutdown, 1u);
+  EXPECT_EQ(server->stats().counters.at("serve.rejected_shutdown"), 1u);
 }
 
-TEST(Server, BackpressureRejectsWithStatusUnderFlood) {
+// A vgg16 forward is slow enough (>100us) that 64 immediate submissions
+// outrun one max_batch=1 worker behind a 4-deep queue by a wide margin.
+// Returns the replies and this server's stats() after the burst.
+struct Flood {
+  std::vector<serve::Reply> replies;
+  obs::MetricsSnapshot stats;
+};
+
+Flood flood_small_queue() {
   serve::ModelRegistry reg;
-  // vgg forward is slow enough (>100us) that a burst of immediate submissions
-  // outruns the single worker by a wide margin.
   models::ModelSpec spec;
   spec.name = "vgg16";
   spec.num_classes = kClasses;
@@ -346,13 +360,20 @@ TEST(Server, BackpressureRejectsWithStatusUnderFlood) {
   const Tensor x = rand_uniform({kChannels, 8, 8}, in_rng, 0.0f, 1.0f);
   std::vector<std::future<serve::Reply>> futures;
   for (int i = 0; i < 64; ++i) futures.push_back(server.submit(x));
+  Flood f;
+  for (auto& fut : futures) f.replies.push_back(fut.get());
+  f.stats = server.stats();
+  return f;
+}
+
+TEST(Server, BackpressureRejectsWithStatusUnderFlood) {
+  const Flood flood = flood_small_queue();
   std::size_t ok = 0, rejected = 0;
-  for (auto& f : futures) {
-    const auto r = f.get();
+  for (const auto& r : flood.replies) {
     if (r.status == serve::ReplyStatus::kOk) ++ok;
     else {
-      // The default overload answer is busy + retry hint, never a bare
-      // queue-full (CUPS server-error-busy semantics).
+      // The overload answer is busy + retry hint, never a bare queue-full
+      // (CUPS server-error-busy semantics).
       EXPECT_EQ(r.status, serve::ReplyStatus::kBusyRetryAfter);
       EXPECT_GE(r.retry_after_ms, 1u);
       EXPECT_LE(r.retry_after_ms, 5000u);
@@ -361,46 +382,30 @@ TEST(Server, BackpressureRejectsWithStatusUnderFlood) {
   }
   EXPECT_EQ(ok + rejected, 64u);
   EXPECT_GT(rejected, 0u);  // the bounded queue really pushed back
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.accepted, ok);
-  EXPECT_EQ(stats.rejected_full, rejected);
-  EXPECT_EQ(stats.admission_busy, rejected);
+  const auto& c = flood.stats.counters;
+  EXPECT_EQ(c.at("serve.accepted"), ok);
+  EXPECT_EQ(c.at("serve.rejected_full"), rejected);
+  EXPECT_EQ(c.at("serve.admission.busy"), rejected);
 }
 
-TEST(Server, LegacyQueueFullStatusWhenBusyOnFullDisabled) {
-  // Deployments that keyed off kRejectedQueueFull can opt out of the busy
-  // protocol; the status (and only the status) reverts.
-  serve::ModelRegistry reg;
-  models::ModelSpec spec;
-  spec.name = "vgg16";
-  spec.num_classes = kClasses;
-  spec.image_size = 8;
-  spec.in_channels = kChannels;
-  Rng rng(5);
-  reg.publish(models::make_model(spec, rng), {kChannels, 8, 8});
+TEST(Server, DefaultRejectSloCountsEachQueueFullReplyOnce) {
+  // A queue-full reply bumps both serve.rejected_full and
+  // serve.admission.busy; the default reject-rate SLO must burn its budget
+  // once per turned-away request, not twice.
+  obs::register_default_serve_slos();
+  obs::SloSpec probe;
+  probe.name = "serve_reject_rate";
+  // add() returns the already-registered monitor for a known name.
+  const obs::SloSpec spec = obs::slos().add(probe).spec();
+  ASSERT_FALSE(spec.bad_series.empty());
 
-  serve::ServeConfig cfg;
-  cfg.max_batch = 1;
-  cfg.deadline_us = 0;
-  cfg.queue_capacity = 4;
-  cfg.busy_on_full = false;
-  serve::Server server(reg, cfg);
-  Rng in_rng(17);
-  const Tensor x = rand_uniform({kChannels, 8, 8}, in_rng, 0.0f, 1.0f);
-  std::vector<std::future<serve::Reply>> futures;
-  for (int i = 0; i < 64; ++i) futures.push_back(server.submit(x));
-  std::size_t rejected = 0;
-  for (auto& f : futures) {
-    const auto r = f.get();
-    if (!r.ok()) {
-      EXPECT_EQ(r.status, serve::ReplyStatus::kRejectedQueueFull);
-      EXPECT_EQ(r.retry_after_ms, 0u);
-      ++rejected;
-    }
-  }
-  EXPECT_GT(rejected, 0u);
-  EXPECT_EQ(server.stats().admission_busy, 0u);
-  EXPECT_EQ(server.stats().rejected_full, rejected);
+  const Flood flood = flood_small_queue();
+  std::uint64_t not_ok = 0;
+  for (const auto& r : flood.replies) not_ok += r.ok() ? 0 : 1;
+  ASSERT_GT(not_ok, 0u);
+  std::uint64_t bad = 0;
+  for (const auto& name : spec.bad_series) bad += flood.stats.counters.at(name);
+  EXPECT_EQ(bad, not_ok);
 }
 
 TEST(Server, BatchedLogitsBitIdenticalToSingleton) {
@@ -426,7 +431,7 @@ TEST(Server, BatchedLogitsBitIdenticalToSingleton) {
           server.submit(inputs[static_cast<std::size_t>(i)]).get().logits;
     }
   }
-  std::uint64_t max_batch_seen = 0;
+  obs::MetricsSnapshot batched_stats;
   {
     serve::ServeConfig cfg;
     cfg.max_batch = 8;
@@ -441,9 +446,11 @@ TEST(Server, BatchedLogitsBitIdenticalToSingleton) {
       batched[static_cast<std::size_t>(i)] =
           futures[static_cast<std::size_t>(i)].get().logits;
     }
-    max_batch_seen = server.stats().max_batch_observed;
+    batched_stats = server.stats();
   }
-  EXPECT_GT(max_batch_seen, 1u);  // batching actually happened
+  // Batching actually happened: some batch carried more than one row.
+  EXPECT_GT(batched_stats.counters.at("serve.served"),
+            batched_stats.counters.at("serve.batches"));
   for (int i = 0; i < n; ++i) {
     const Tensor& a = singleton[static_cast<std::size_t>(i)];
     const Tensor& b = batched[static_cast<std::size_t>(i)];
@@ -535,7 +542,7 @@ TEST(Server, HotSwapToDifferentInputShapeFailsStaleRowsSafely) {
   }
   EXPECT_EQ(ok + stale, 24u);  // every future resolved, whichever side of the
                                // swap its batch landed on
-  EXPECT_EQ(server.stats().rejected_stale, stale);
+  EXPECT_EQ(server.stats().counters.at("serve.rejected_stale"), stale);
   // New-shape traffic is served by v2.
   Rng in_rng(77);
   const auto wide_reply =
@@ -753,7 +760,7 @@ TEST(Server, TelemetrySamplesEveryKthRequestAndScoresAfterWindow) {
     }
   }
   EXPECT_EQ(sampled, 9u);  // indices 0, 4, ..., 32
-  EXPECT_EQ(server.stats().telemetry_samples, 9u);
+  EXPECT_EQ(server.stats().counters.at("serve.telemetry.samples"), 9u);
   // The 8th sample (request 28) filled the first window: scores exist from
   // then on, and suspicion becomes a valid [0, 1] energy fraction.
   EXPECT_EQ(server.monitor().score_epoch(), 1u);
@@ -796,7 +803,7 @@ serve::TelemetryConfig conv_telemetry(std::int64_t sample_every) {
 struct ConvRun {
   std::vector<serve::Reply> replies;
   std::vector<float> scores;
-  serve::ServerStats stats;
+  obs::MetricsSnapshot stats;
 };
 
 // One worker, every request submitted up front: with max_batch > 1 the burst
@@ -831,7 +838,8 @@ TEST(Server, ConvTelemetryFromBatchTapsMatchesSingletonAndCaptureOracle) {
 
   const ConvRun single = run_conv_burst(reg, inputs, 1, 2);
   const ConvRun batched = run_conv_burst(reg, inputs, 8, 2);
-  EXPECT_GT(batched.stats.max_batch_observed, 1u);  // rows shared a batch
+  EXPECT_GT(batched.stats.counters.at("serve.served"),
+            batched.stats.counters.at("serve.batches"));  // rows shared a batch
 
   // Oracle: the pre-batch-tap server path — a batch-1 capture_taps forward
   // per sampled request, fed to a monitor in admission order.
@@ -902,9 +910,11 @@ TEST(Server, TelemetryRunsNoForwardOfItsOwn) {
     for (const auto& e : obs::profile_table()) {
       if (e.name == site) calls = e.calls;
     }
-    EXPECT_EQ(run.stats.telemetry_samples, sample_every == 0 ? 0u : 16u);
-    EXPECT_GT(run.stats.batches, 0u);
-    EXPECT_EQ(calls, static_cast<std::uint64_t>(kVggConvs) * run.stats.batches)
+    const std::uint64_t batches = run.stats.counters.at("serve.batches");
+    EXPECT_EQ(run.stats.counters.at("serve.telemetry.samples"),
+              sample_every == 0 ? 0u : 16u);
+    EXPECT_GT(batches, 0u);
+    EXPECT_EQ(calls, static_cast<std::uint64_t>(kVggConvs) * batches)
         << site << " with telemetry sample_every=" << sample_every;
   }
   obs::set_profiling_enabled(was_profiling);

@@ -125,14 +125,35 @@ TEST(Wire, ReplyFrameRoundTripsEveryField) {
 
 TEST(Wire, StatusMappingMirrorsReplyStatus) {
   EXPECT_EQ(net::to_wire(serve::ReplyStatus::kOk), net::WireStatus::kOk);
-  EXPECT_EQ(net::to_wire(serve::ReplyStatus::kRejectedQueueFull),
-            net::WireStatus::kRejectedQueueFull);
   EXPECT_EQ(net::to_wire(serve::ReplyStatus::kRejectedShutdown),
             net::WireStatus::kRejectedShutdown);
   EXPECT_EQ(net::to_wire(serve::ReplyStatus::kRejectedStaleShape),
             net::WireStatus::kRejectedStaleShape);
   EXPECT_EQ(net::to_wire(serve::ReplyStatus::kBusyRetryAfter),
             net::WireStatus::kBusyRetryAfter);
+}
+
+TEST(Wire, UnassignedStatusCodesAreRejected) {
+  net::ReplyFrame rf;
+  rf.logits = {1.0f};
+  auto bytes = net::encode_reply(rf);
+  constexpr std::size_t kStatusByte = 1 + sizeof(std::uint64_t);  // type, id
+  ASSERT_EQ(bytes[kStatusByte], 0u);  // kOk
+  // Code 1 (the retired hint-less queue-full) is a gap in the code space:
+  // it must fail like any code past the last status, not decode into an
+  // enum value no WireStatus names.
+  for (int code = 0; code < 256; ++code) {
+    bytes[kStatusByte] = static_cast<std::uint8_t>(code);
+    if (code == 0 || (code >= 2 && code <= 5)) {
+      EXPECT_EQ(static_cast<int>(
+                    net::decode_reply(bytes.data(), bytes.size()).status),
+                code);
+    } else {
+      EXPECT_THROW(net::decode_reply(bytes.data(), bytes.size()),
+                   std::runtime_error)
+          << "status byte " << code;
+    }
+  }
 }
 
 TEST(Wire, TruncatedPayloadsThrowAtEveryPrefixLength) {
@@ -336,7 +357,7 @@ TEST(TcpFrontend, LeaderDisconnectMidFlightJoinerStillGetsTheReply) {
   EXPECT_EQ(std::memcmp(reply.logits.data(), direct.logits.data().data(),
                         sizeof(float) * reply.logits.size()),
             0);
-  EXPECT_GE(fe.server->stats().cache_inflight_joins, 1u);
+  EXPECT_GE(fe.server->stats().counters.at("serve.cache.inflight_joins"), 1u);
 }
 
 TEST(TcpFrontend, DuplicateClientIdSharesOneBucketAcrossConnections) {
@@ -379,7 +400,8 @@ TEST(TcpFrontend, BusyRetryAfterRoundTripsWithItsHint) {
   EXPECT_TRUE(retrier.submit(sample_input(43)).ok());
   const auto exhausted = retrier.submit(sample_input(44));
   EXPECT_EQ(exhausted.status, net::WireStatus::kBusyRetryAfter);
-  EXPECT_EQ(fe.server->stats().admission_throttled, 4u);  // 1 + 3 attempts
+  EXPECT_EQ(fe.server->stats().counters.at("serve.admission.throttled"),
+            4u);  // 1 + 3 attempts
 }
 
 TEST(TcpFrontend, OversizedDimsInSubmitFrameDropTheConnection) {

@@ -31,9 +31,10 @@ admin endpoint. Each must be well-formed Prometheus text exposition 0.0.4:
 every line a comment or `name[{labels}] value` with names in
 [a-zA-Z_:][a-zA-Z0-9_:]*, histogram `le` bucket edges strictly ascending with
 non-decreasing cumulative counts and the mandatory +Inf bucket equal to
-_count. Across consecutive scrapes, counters must be monotone and SLO state
-gauges (obs_slo_*_state) must never de-escalate from breach (2) to
-warning (1) — within an episode the only way down is a clean drop to ok (0).
+_count. Across consecutive scrapes, no series may vanish, counters must be
+monotone, and SLO state gauges (obs_slo_*_state) must never de-escalate from
+breach (2) to warning (1) — within an episode the only way down is a clean
+drop to ok (0).
 
 --slo SLO_JSON is a GET /slo body: must parse, carry a non-empty "slos" list,
 and every entry's state must be one of ok/warning/breach with state_value in
@@ -243,7 +244,9 @@ def check_prom(paths):
             for key, old in prev_samples.items():
                 new = samples.get(key)
                 if new is None:
-                    continue  # retired/compacted families may fold away
+                    # The registry never drops a name and a non-empty bucket
+                    # stays non-empty, so a vanished series is a defect.
+                    fail(f"{path}: series {key} (in {prev_path}) vanished")
                 # Counters: _total-less convention here — anything that is a
                 # bucket/count/sum or a bare counter family must be monotone.
                 # Gauges can move freely; restrict to known-cumulative shapes.

@@ -443,41 +443,41 @@ int main(int argc, char** argv) {
 
   // ---- summary --------------------------------------------------------------
   auto pct = [&](double q) { return percentile(latencies_ms, q); };
-  const auto stats = server.stats();
+  const obs::MetricsSnapshot stats = server.stats();
+  const auto count = [&stats](const char* counter) {
+    return static_cast<unsigned long long>(stats.counters.at(counter));
+  };
   const double throughput = static_cast<double>(requests) / seconds;
   std::printf("\n-- served %lld requests in %.2fs: %.1f req/s  p50 %.2fms  "
               "p99 %.2fms --\n",
               static_cast<long long>(served.load()), seconds, throughput,
               pct(0.5), pct(0.99));
   std::printf("   accuracy %.3f  rejected %lld  batches %llu (size %llu / "
-              "deadline %llu / drain %llu)  max batch %llu\n",
+              "deadline %llu / drain %llu)  max batch %.0f\n",
               served.load() > 0
                   ? static_cast<double>(correct.load()) /
                         static_cast<double>(served.load())
                   : 0.0,
               static_cast<long long>(rejected.load()),
-              static_cast<unsigned long long>(stats.batches),
-              static_cast<unsigned long long>(stats.size_triggers),
-              static_cast<unsigned long long>(stats.deadline_triggers),
-              static_cast<unsigned long long>(stats.drain_triggers),
-              static_cast<unsigned long long>(stats.max_batch_observed));
+              count("serve.batches"), count("serve.trigger.size"),
+              count("serve.trigger.deadline"), count("serve.trigger.drain"),
+              // One server per process, so the process-wide gauge is ours.
+              stats.gauges.at("serve.batch_max"));
   if (server.cache().enabled()) {
     std::printf("   cache: %llu lookups, %llu hits (%llu in-flight joins), "
                 "%llu misses, %llu evictions, %llu invalidations, %zu bytes "
                 "resident\n",
-                static_cast<unsigned long long>(stats.cache_lookups),
-                static_cast<unsigned long long>(stats.cache_hits),
-                static_cast<unsigned long long>(stats.cache_inflight_joins),
-                static_cast<unsigned long long>(stats.cache_misses),
-                static_cast<unsigned long long>(stats.cache_evictions),
-                static_cast<unsigned long long>(stats.cache_invalidations),
+                count("serve.cache.lookups"), count("serve.cache.hits"),
+                count("serve.cache.inflight_joins"),
+                count("serve.cache.misses"), count("serve.cache.evictions"),
+                count("serve.cache.invalidations"),
                 server.cache().bytes());
   }
-  if (stats.admission_busy + stats.admission_throttled > 0) {
+  if (count("serve.admission.busy") + count("serve.admission.throttled") > 0) {
     std::printf("   admission: %llu busy-on-full, %llu per-client throttles "
                 "(all kBusyRetryAfter with hints)\n",
-                static_cast<unsigned long long>(stats.admission_busy),
-                static_cast<unsigned long long>(stats.admission_throttled));
+                count("serve.admission.busy"),
+                count("serve.admission.throttled"));
   }
   for (std::size_t v = 1; v < version_counts.size(); ++v) {
     if (version_counts[v] > 0) {
@@ -487,7 +487,7 @@ int main(int argc, char** argv) {
   }
   if (telemetry_every > 0) {
     std::printf("   telemetry: %llu sampled, %llu scoring epochs, drift %s",
-                static_cast<unsigned long long>(stats.telemetry_samples),
+                count("serve.telemetry.samples"),
                 static_cast<unsigned long long>(server.monitor().score_epoch()),
                 server.monitor().drift_state() ==
                         serve::DriftDetector::kDrift
@@ -522,11 +522,11 @@ int main(int argc, char** argv) {
          served.load() > 0 ? static_cast<double>(correct.load()) /
                                  static_cast<double>(served.load())
                            : 0.0);
-  if (stats.cache_lookups > 0) {
+  if (count("serve.cache.lookups") > 0) {
     record("serve_cli/cache_hit_rate",
-           "lookups=" + std::to_string(stats.cache_lookups),
-           static_cast<double>(stats.cache_hits) /
-               static_cast<double>(stats.cache_lookups));
+           "lookups=" + std::to_string(count("serve.cache.lookups")),
+           static_cast<double>(count("serve.cache.hits")) /
+               static_cast<double>(count("serve.cache.lookups")));
   }
   if (clean_susp.n > 0) {
     record("serve_cli/suspicion_clean", "n=" + std::to_string(clean_susp.n),

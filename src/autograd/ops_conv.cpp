@@ -1,6 +1,7 @@
 #include <stdexcept>
 
 #include "autograd/ops.hpp"
+#include "obs/profile.hpp"
 #include "runtime/parallel_for.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/matmul.hpp"
@@ -10,24 +11,24 @@
 namespace ibrar::ag {
 
 Var conv2d(const Var& x, const Var& w, const Var& bias, const Conv2dSpec& spec) {
-  const Tensor& xv = x.value();
-  const Tensor& wv = w.value();
+  // Same site as ibrar::conv2d, so per-layer profiles count one conv2d per
+  // conv forward whichever path ran it.
+  static obs::ProfileSite& prof = obs::profile_site("tensor/conv2d");
+  obs::ProfileScope prof_scope(prof);
   const bool has_bias = bias.defined();
-  Tensor out = ibrar::conv2d(xv, wv, has_bias ? &bias.value() : nullptr, spec);
-
-  // Save im2col columns for backward (recomputing would double conv cost; the
-  // models here are small enough that memory is the cheaper trade).
-  const Tensor cols = im2col(xv, spec);
-  const auto f = wv.dim(0);
-  const Tensor wmat = wv.reshape({f, wv.numel() / f});
-  const Shape x_shape = xv.shape();
-  const Shape w_shape = wv.shape();
+  // One im2col feeds the forward GEMM and, when w is trained, the dW GEMM.
+  // Under NoGradGuard or a frozen w (AttackModeGuard) nothing reads the
+  // columns after this call, so they are freed here.
+  Tensor cols = im2col(x.value(), spec);
+  Tensor out = conv2d_cols(cols, w.value(), has_bias ? &bias.value() : nullptr,
+                           x.shape(), spec);
+  if (!(grad_enabled() && w.requires_grad())) cols = Tensor();
 
   std::vector<Var> parents = {x, w};
   if (has_bias) parents.push_back(bias);
 
   return make_op(std::move(out), std::move(parents),
-                 [cols, wmat, x_shape, w_shape, spec, has_bias](Node& n) {
+                 [cols = std::move(cols), spec, has_bias](Node& n) {
     const auto nN = n.value.shape()[0];
     const auto nf = n.value.shape()[1];
     const auto spatial = n.value.shape()[2] * n.value.shape()[3];
@@ -47,13 +48,15 @@ Var conv2d(const Var& x, const Var& w, const Var& bias, const Conv2dSpec& spec) 
         }
       });
     }
+    const Tensor& wv = n.parents[1]->value;
     if (n.parents[0]->requires_grad) {
-      const Tensor gcols = ibrar::matmul(gprod, wmat);  // (N*OH*OW, CKK)
-      n.parents[0]->accumulate(col2im(gcols, x_shape, spec));
+      // (N*OH*OW, F) x (F, CKK) -> (N*OH*OW, CKK)
+      const Tensor gcols = ibrar::matmul(gprod, wv.reshape({nf, wv.numel() / nf}));
+      n.parents[0]->accumulate(col2im(gcols, n.parents[0]->value.shape(), spec));
     }
     if (n.parents[1]->requires_grad) {
       Tensor gw = ibrar::matmul_tn(gprod, cols);  // (F, CKK)
-      n.parents[1]->accumulate(gw.reshape(w_shape));
+      n.parents[1]->accumulate(gw.reshape(wv.shape()));
     }
     if (has_bias && n.parents[2]->requires_grad) {
       n.parents[2]->accumulate(ibrar::sum_axis(gprod, 0));
@@ -63,11 +66,10 @@ Var conv2d(const Var& x, const Var& w, const Var& bias, const Conv2dSpec& spec) 
 
 Var maxpool2d(const Var& x, std::int64_t kernel, std::int64_t stride) {
   PoolResult r = ibrar::maxpool2d(x.value(), kernel, stride);
-  const Shape x_shape = x.shape();
-  auto argmax = std::move(r.argmax);
-  return make_op(std::move(r.out), {x}, [x_shape, argmax](Node& n) {
+  return make_op(std::move(r.out), {x}, [argmax = std::move(r.argmax)](Node& n) {
     if (!n.parents[0]->requires_grad) return;
-    n.parents[0]->accumulate(maxpool2d_backward(n.grad, x_shape, argmax));
+    n.parents[0]->accumulate(
+        maxpool2d_backward(n.grad, n.parents[0]->value.shape(), argmax));
   });
 }
 

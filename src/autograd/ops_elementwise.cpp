@@ -35,18 +35,16 @@ Var sub(const Var& a, const Var& b) {
 }
 
 Var mul(const Var& a, const Var& b) {
-  const Tensor av = a.value();
-  const Tensor bv = b.value();
-  return make_op(ibrar::mul(av, bv), {a, b}, [av, bv](Node& n) {
-    accum_broadcast(n, 0, ibrar::mul(n.grad, bv));
-    accum_broadcast(n, 1, ibrar::mul(n.grad, av));
+  return make_op(ibrar::mul(a.value(), b.value()), {a, b}, [](Node& n) {
+    accum_broadcast(n, 0, ibrar::mul(n.grad, n.parents[1]->value));
+    accum_broadcast(n, 1, ibrar::mul(n.grad, n.parents[0]->value));
   });
 }
 
 Var div(const Var& a, const Var& b) {
-  const Tensor av = a.value();
-  const Tensor bv = b.value();
-  return make_op(ibrar::div(av, bv), {a, b}, [av, bv](Node& n) {
+  return make_op(ibrar::div(a.value(), b.value()), {a, b}, [](Node& n) {
+    const Tensor& av = n.parents[0]->value;
+    const Tensor& bv = n.parents[1]->value;
     accum_broadcast(n, 0, ibrar::div(n.grad, bv));
     // d/db (a/b) = -a / b^2
     accum_broadcast(n, 1,
@@ -69,71 +67,66 @@ Var mul_scalar(const Var& a, float s) {
 Var neg(const Var& a) { return mul_scalar(a, -1.0f); }
 
 Var exp(const Var& a) {
-  Tensor out = ibrar::exp(a.value());
-  return make_op(out, {a}, [out](Node& n) {
-    accum(n, 0, ibrar::mul(n.grad, out));
+  return make_op(ibrar::exp(a.value()), {a}, [](Node& n) {
+    accum(n, 0, ibrar::mul(n.grad, n.value));
   });
 }
 
 Var log(const Var& a) {
-  const Tensor av = a.value();
-  return make_op(ibrar::log(av), {a}, [av](Node& n) {
+  return make_op(ibrar::log(a.value()), {a}, [](Node& n) {
     // matches the clamped forward: d log(max(x, eps)) / dx ~= 1/max(x, eps)
-    accum(n, 0, ibrar::div(n.grad, ibrar::maximum(av, Tensor::scalar(1e-38f))));
+    accum(n, 0, ibrar::div(n.grad, ibrar::maximum(n.parents[0]->value,
+                                                  Tensor::scalar(1e-38f))));
   });
 }
 
 Var sqrt(const Var& a) {
-  Tensor out = ibrar::sqrt(a.value());
-  return make_op(out, {a}, [out](Node& n) {
+  return make_op(ibrar::sqrt(a.value()), {a}, [](Node& n) {
     accum(n, 0, ibrar::div(n.grad,
-                           ibrar::mul_scalar(ibrar::maximum(out, Tensor::scalar(1e-12f)), 2.0f)));
+                           ibrar::mul_scalar(ibrar::maximum(n.value, Tensor::scalar(1e-12f)), 2.0f)));
   });
 }
 
 Var square(const Var& a) {
-  const Tensor av = a.value();
-  return make_op(ibrar::square(av), {a}, [av](Node& n) {
-    accum(n, 0, ibrar::mul(n.grad, ibrar::mul_scalar(av, 2.0f)));
+  return make_op(ibrar::square(a.value()), {a}, [](Node& n) {
+    accum(n, 0, ibrar::mul(n.grad, ibrar::mul_scalar(n.parents[0]->value, 2.0f)));
   });
 }
 
 Var pow_scalar(const Var& a, float p) {
-  const Tensor av = a.value();
-  return make_op(ibrar::pow_scalar(av, p), {a}, [av, p](Node& n) {
+  return make_op(ibrar::pow_scalar(a.value(), p), {a}, [p](Node& n) {
     accum(n, 0, ibrar::mul(n.grad,
-                           ibrar::mul_scalar(ibrar::pow_scalar(av, p - 1.0f), p)));
+                           ibrar::mul_scalar(
+                               ibrar::pow_scalar(n.parents[0]->value, p - 1.0f), p)));
   });
 }
 
 Var relu(const Var& a) {
-  const Tensor av = a.value();
-  return make_op(ibrar::relu(av), {a}, [av](Node& n) {
-    accum(n, 0, ibrar::mul(n.grad, ibrar::greater(av, Tensor::scalar(0.0f))));
+  return make_op(ibrar::relu(a.value()), {a}, [](Node& n) {
+    accum(n, 0, ibrar::mul(n.grad, ibrar::greater(n.parents[0]->value,
+                                                  Tensor::scalar(0.0f))));
   });
 }
 
 Var tanh(const Var& a) {
-  Tensor out = ibrar::tanh(a.value());
-  return make_op(out, {a}, [out](Node& n) {
+  return make_op(ibrar::tanh(a.value()), {a}, [](Node& n) {
     // 1 - tanh^2
     accum(n, 0, ibrar::mul(n.grad, ibrar::sub(Tensor::scalar(1.0f),
-                                              ibrar::square(out))));
+                                              ibrar::square(n.value))));
   });
 }
 
 Var sigmoid(const Var& a) {
-  Tensor out = ibrar::sigmoid(a.value());
-  return make_op(out, {a}, [out](Node& n) {
+  return make_op(ibrar::sigmoid(a.value()), {a}, [](Node& n) {
+    const Tensor& out = n.value;
     accum(n, 0, ibrar::mul(n.grad,
                            ibrar::mul(out, ibrar::sub(Tensor::scalar(1.0f), out))));
   });
 }
 
 Var abs(const Var& a) {
-  const Tensor av = a.value();
-  return make_op(ibrar::abs(av), {a}, [av](Node& n) {
-    accum(n, 0, ibrar::mul(n.grad, ibrar::sign(av)));
+  return make_op(ibrar::abs(a.value()), {a}, [](Node& n) {
+    accum(n, 0, ibrar::mul(n.grad, ibrar::sign(n.parents[0]->value)));
   });
 }
 

@@ -5,15 +5,13 @@
 namespace ibrar::ag {
 
 Var matmul(const Var& a, const Var& b) {
-  const Tensor av = a.value();
-  const Tensor bv = b.value();
-  return make_op(ibrar::matmul(av, bv), {a, b}, [av, bv](Node& n) {
+  return make_op(ibrar::matmul(a.value(), b.value()), {a, b}, [](Node& n) {
     // dA = G B^T ; dB = A^T G
     if (n.parents[0]->requires_grad) {
-      n.parents[0]->accumulate(ibrar::matmul_nt(n.grad, bv));
+      n.parents[0]->accumulate(ibrar::matmul_nt(n.grad, n.parents[1]->value));
     }
     if (n.parents[1]->requires_grad) {
-      n.parents[1]->accumulate(ibrar::matmul_tn(av, n.grad));
+      n.parents[1]->accumulate(ibrar::matmul_tn(n.parents[0]->value, n.grad));
     }
   });
 }

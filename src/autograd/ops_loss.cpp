@@ -8,10 +8,10 @@
 namespace ibrar::ag {
 
 Var softmax(const Var& logits) {
-  Tensor s = softmax_rows(logits.value());
-  return make_op(s, {logits}, [s](Node& n) {
+  return make_op(softmax_rows(logits.value()), {logits}, [](Node& n) {
     if (!n.parents[0]->requires_grad) return;
     // dx = s * (g - rowsum(g * s))
+    const Tensor& s = n.value;
     const auto m = s.dim(0), c = s.dim(1);
     Tensor gx(s.shape());
     for (std::int64_t i = 0; i < m; ++i) {
@@ -28,9 +28,8 @@ Var softmax(const Var& logits) {
 }
 
 Var log_softmax(const Var& logits) {
-  Tensor ls = log_softmax_rows(logits.value());
-  Tensor s = softmax_rows(logits.value());
-  return make_op(ls, {logits}, [s](Node& n) {
+  return make_op(log_softmax_rows(logits.value()), {logits},
+                 [s = softmax_rows(logits.value())](Node& n) {
     if (!n.parents[0]->requires_grad) return;
     // dx = g - softmax * rowsum(g)
     const auto m = s.dim(0), c = s.dim(1);
@@ -61,9 +60,8 @@ Var cross_entropy(const Var& logits, const std::vector<std::int64_t>& labels) {
     if (y < 0 || y >= c) throw std::out_of_range("cross_entropy label");
     loss -= ls.at(i, y);
   }
-  const Tensor probs = softmax_rows(lv);
   return make_op(Tensor::scalar(static_cast<float>(loss / m)), {logits},
-                 [probs, labels, m, c](Node& n) {
+                 [probs = softmax_rows(lv), labels, m](Node& n) {
     if (!n.parents[0]->requires_grad) return;
     const float g = n.grad.item() / static_cast<float>(m);
     Tensor gx = probs;
@@ -71,7 +69,6 @@ Var cross_entropy(const Var& logits, const std::vector<std::int64_t>& labels) {
       gx.at(i, labels[static_cast<std::size_t>(i)]) -= 1.0f;
     }
     for (auto& v : gx.vec()) v *= g;
-    (void)c;
     n.parents[0]->accumulate(gx);
   });
 }
@@ -94,16 +91,16 @@ Var kl_div(const Var& p, const Var& log_q) {
     }
   }
   return make_op(Tensor::scalar(static_cast<float>(loss / m)), {p, log_q},
-                 [pv, lqv, log_p, m](Node& n) {
+                 [log_p = std::move(log_p), m](Node& n) {
     const float g = n.grad.item() / static_cast<float>(m);
     if (n.parents[0]->requires_grad) {
       // d/dp [p (log p - log q)] = log p + 1 - log q
-      Tensor gp = ibrar::sub(log_p, lqv);
+      Tensor gp = ibrar::sub(log_p, n.parents[1]->value);
       for (auto& v : gp.vec()) v = (v + 1.0f) * g;
       n.parents[0]->accumulate(gp);
     }
     if (n.parents[1]->requires_grad) {
-      Tensor gq = pv;
+      Tensor gq = n.parents[0]->value;
       for (auto& v : gq.vec()) v *= -g;
       n.parents[1]->accumulate(gq);
     }

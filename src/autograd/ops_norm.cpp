@@ -45,10 +45,9 @@ Var batch_norm2d_apply(const Var& x, const Var& gamma, const Var& beta,
     }
   }
 
-  const Shape x_shape = xv.shape();
   return make_op(std::move(out), {x, gamma, beta},
-                 [xhat, inv_std, x_shape, training, c, spatial, nN,
-                  per_channel](Node& n) {
+                 [xhat = std::move(xhat), inv_std = std::move(inv_std), training,
+                  c, spatial, nN, per_channel](Node& n) {
     const float* pg = n.grad.data().data();
     const float* ph = xhat.data().data();
     const float* pgam = n.parents[1]->value.data().data();
@@ -73,7 +72,7 @@ Var batch_norm2d_apply(const Var& x, const Var& gamma, const Var& beta,
     if (n.parents[2]->requires_grad) n.parents[2]->accumulate(sum_g);
 
     if (n.parents[0]->requires_grad) {
-      Tensor gx(x_shape);
+      Tensor gx(n.value.shape());
       float* pgx = gx.data().data();
       const float m = static_cast<float>(per_channel);
       for (std::int64_t in_n = 0; in_n < nN; ++in_n) {
@@ -155,7 +154,7 @@ Var dropout(const Var& x, float p, bool training, Rng& rng) {
   const float scale = 1.0f / (1.0f - p);
   for (auto& m : mask.vec()) m = rng.bernoulli(1.0 - p) ? scale : 0.0f;
   Tensor out = ibrar::mul(x.value(), mask);
-  return make_op(std::move(out), {x}, [mask](Node& n) {
+  return make_op(std::move(out), {x}, [mask = std::move(mask)](Node& n) {
     if (!n.parents[0]->requires_grad) return;
     n.parents[0]->accumulate(ibrar::mul(n.grad, mask));
   });

@@ -89,6 +89,15 @@ class NoGradGuard {
 
 /// Build an op node: value, parents, and a backward closure. When recording is
 /// off or no parent requires grad, the result is a detached constant.
+///
+/// Saved-state contract: the closure reads its inputs as n.parents[i]->value
+/// and its output as n.value, and owns only tensors it derived (moved in with
+/// an init-capture), never a copy of an input or of the output. A node's value
+/// must therefore not be mutated between its forward and its backward. The
+/// mutable_value() writers keep to this: train/optimizer.cpp (SGD step),
+/// nn/module.cpp (load_model, copy_state), autograd/gradcheck.cpp (probes
+/// after its one backward) and attacks/cw.cpp (Adam on w) all run after the
+/// backward that reads the value, or before the next forward.
 Var make_op(Tensor value, std::vector<Var> parents,
             std::function<void(Node&)> backward_fn);
 

@@ -94,16 +94,20 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor* bias,
               const Conv2dSpec& spec) {
   static obs::ProfileSite& prof = obs::profile_site("tensor/conv2d");
   obs::ProfileScope prof_scope(prof);
-  if (x.rank() != 4 || w.rank() != 4) {
+  return conv2d_cols(im2col(x, spec), w, bias, x.shape(), spec);
+}
+
+Tensor conv2d_cols(const Tensor& cols, const Tensor& w, const Tensor* bias,
+                   const Shape& x_shape, const Conv2dSpec& spec) {
+  if (x_shape.size() != 4 || w.rank() != 4) {
     throw std::invalid_argument("conv2d: x and w must be rank 4");
   }
-  if (x.dim(1) != w.dim(1)) throw std::invalid_argument("conv2d: channel mismatch");
-  const auto n = x.dim(0);
+  if (x_shape[1] != w.dim(1)) throw std::invalid_argument("conv2d: channel mismatch");
+  const auto n = x_shape[0];
   const auto f = w.dim(0);
-  const auto oh = conv_out_dim(x.dim(2), spec.kernel, spec.stride, spec.pad);
-  const auto ow = conv_out_dim(x.dim(3), spec.kernel, spec.stride, spec.pad);
+  const auto oh = conv_out_dim(x_shape[2], spec.kernel, spec.stride, spec.pad);
+  const auto ow = conv_out_dim(x_shape[3], spec.kernel, spec.stride, spec.pad);
 
-  const Tensor cols = im2col(x, spec);                    // (N*OH*OW, CKK)
   const Tensor wmat = w.reshape({f, w.numel() / f});      // (F, CKK)
   Tensor prod = matmul_nt(cols, wmat);                    // (N*OH*OW, F)
 

@@ -27,8 +27,15 @@ Tensor im2col(const Tensor& x, const Conv2dSpec& spec);
 Tensor col2im(const Tensor& cols, const Shape& x_shape, const Conv2dSpec& spec);
 
 /// Forward conv: x (N,C,H,W), w (F,C,K,K), bias (F) optional -> (N,F,OH,OW).
+/// Equal to conv2d_cols(im2col(x, spec), w, bias, x.shape(), spec).
 Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor* bias,
               const Conv2dSpec& spec);
+
+/// The columns -> output half of conv2d: `cols` = im2col(x, spec) for an x
+/// of `x_shape`, times the (F, C*K*K) view of w, scattered to (N,F,OH,OW)
+/// with bias added. Lets autograd build the columns once and keep them for dW.
+Tensor conv2d_cols(const Tensor& cols, const Tensor& w, const Tensor* bias,
+                   const Shape& x_shape, const Conv2dSpec& spec);
 
 struct PoolResult {
   Tensor out;                      ///< (N,C,OH,OW)

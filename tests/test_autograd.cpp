@@ -4,10 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "attacks/attack.hpp"
 #include "autograd/gradcheck.hpp"
 #include "autograd/ops.hpp"
+#include "models/registry.hpp"
+#include "obs/profile.hpp"
+#include "runtime/parallel_for.hpp"
+#include "tensor/im2col.hpp"
+#include "tensor/matmul.hpp"
+#include "tensor/ops.hpp"
 #include "tensor/random.hpp"
+#include "tensor/reduce.hpp"
 
 namespace ibrar::ag {
 namespace {
@@ -323,6 +332,210 @@ TEST(ConvGrad, MaxPoolDropsRaggedEdge) {
       EXPECT_FLOAT_EQ(g.at(0, c, 4, i), 0.0f) << "edge row, c=" << c;
     }
   }
+}
+
+// ---- legacy conv oracle -------------------------------------------------------
+//
+// Verbatim copies of the conv forward (ibrar::conv2d) and the autograd conv op
+// (ag::conv2d) as they were before the op built its im2col columns once and
+// dropped them under frozen weights. Profiling hooks are left out. The new op
+// must reproduce output, dX, dW and dB bit for bit.
+
+Tensor legacy_tensor_conv2d(const Tensor& x, const Tensor& w, const Tensor* bias,
+                            const Conv2dSpec& spec) {
+  if (x.rank() != 4 || w.rank() != 4) {
+    throw std::invalid_argument("conv2d: x and w must be rank 4");
+  }
+  if (x.dim(1) != w.dim(1)) throw std::invalid_argument("conv2d: channel mismatch");
+  const auto n = x.dim(0);
+  const auto f = w.dim(0);
+  const auto oh = conv_out_dim(x.dim(2), spec.kernel, spec.stride, spec.pad);
+  const auto ow = conv_out_dim(x.dim(3), spec.kernel, spec.stride, spec.pad);
+
+  const Tensor cols = im2col(x, spec);                    // (N*OH*OW, CKK)
+  const Tensor wmat = w.reshape({f, w.numel() / f});      // (F, CKK)
+  Tensor prod = ibrar::matmul_nt(cols, wmat);             // (N*OH*OW, F)
+
+  // Transpose the (spatial, filter) layout into NCHW.
+  Tensor out({n, f, oh, ow});
+  const float* pp = prod.data().data();
+  float* po = out.data().data();
+  const std::int64_t spatial = oh * ow;
+  if (bias != nullptr && bias->numel() != f) {
+    throw std::invalid_argument("conv2d: bias size");
+  }
+  const float* pb = bias != nullptr ? bias->data().data() : nullptr;
+  runtime::parallel_for(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
+    for (std::int64_t in_n = n0; in_n < n1; ++in_n) {
+      for (std::int64_t s = 0; s < spatial; ++s) {
+        const float* row = pp + (in_n * spatial + s) * f;
+        for (std::int64_t of = 0; of < f; ++of) {
+          po[(in_n * f + of) * spatial + s] = row[of];
+        }
+      }
+      if (pb != nullptr) {
+        for (std::int64_t of = 0; of < f; ++of) {
+          float* plane = po + (in_n * f + of) * spatial;
+          const float b = pb[of];
+          for (std::int64_t s = 0; s < spatial; ++s) plane[s] += b;
+        }
+      }
+    }
+  });
+  return out;
+}
+
+Var legacy_conv2d(const Var& x, const Var& w, const Var& bias, const Conv2dSpec& spec) {
+  const Tensor& xv = x.value();
+  const Tensor& wv = w.value();
+  const bool has_bias = bias.defined();
+  Tensor out = legacy_tensor_conv2d(xv, wv, has_bias ? &bias.value() : nullptr, spec);
+
+  // Save im2col columns for backward (recomputing would double conv cost; the
+  // models here are small enough that memory is the cheaper trade).
+  const Tensor cols = im2col(xv, spec);
+  const auto f = wv.dim(0);
+  const Tensor wmat = wv.reshape({f, wv.numel() / f});
+  const Shape x_shape = xv.shape();
+  const Shape w_shape = wv.shape();
+
+  std::vector<Var> parents = {x, w};
+  if (has_bias) parents.push_back(bias);
+
+  return make_op(std::move(out), std::move(parents),
+                 [cols, wmat, x_shape, w_shape, spec, has_bias](Node& n) {
+    const auto nN = n.value.shape()[0];
+    const auto nf = n.value.shape()[1];
+    const auto spatial = n.value.shape()[2] * n.value.shape()[3];
+    // NCHW grad -> (N*OH*OW, F) spatial-major layout used by the GEMM.
+    Tensor gprod({nN * spatial, nf});
+    {
+      const float* pg = n.grad.data().data();
+      float* pp = gprod.data().data();
+      ibrar::runtime::parallel_for(0, nN, 1, [&](std::int64_t n0, std::int64_t n1) {
+        for (std::int64_t in_n = n0; in_n < n1; ++in_n) {
+          for (std::int64_t of = 0; of < nf; ++of) {
+            const float* plane = pg + (in_n * nf + of) * spatial;
+            for (std::int64_t s = 0; s < spatial; ++s) {
+              pp[(in_n * spatial + s) * nf + of] = plane[s];
+            }
+          }
+        }
+      });
+    }
+    if (n.parents[0]->requires_grad) {
+      const Tensor gcols = ibrar::matmul(gprod, wmat);  // (N*OH*OW, CKK)
+      n.parents[0]->accumulate(col2im(gcols, x_shape, spec));
+    }
+    if (n.parents[1]->requires_grad) {
+      Tensor gw = ibrar::matmul_tn(gprod, cols);  // (F, CKK)
+      n.parents[1]->accumulate(gw.reshape(w_shape));
+    }
+    if (has_bias && n.parents[2]->requires_grad) {
+      n.parents[2]->accumulate(ibrar::sum_axis(gprod, 0));
+    }
+  });
+}
+
+void expect_memcmp_equal(const Tensor& a, const Tensor& b, const std::string& what) {
+  ASSERT_EQ(a.shape(), b.shape()) << what;
+  EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(),
+                        static_cast<std::size_t>(a.numel()) * sizeof(float)),
+            0)
+      << what;
+}
+
+struct ConvOracleCase {
+  const char* name;
+  Shape x, w;
+  Conv2dSpec spec;
+};
+
+TEST(ConvGrad, LegacyOracleBitExact) {
+  // The ConvGrad shapes above: stride 1/2, ragged strides, a kernel larger
+  // than the input and one equal to it.
+  const std::vector<ConvOracleCase> cases = {
+      {"3x3 pad 1", {2, 2, 4, 4}, {3, 2, 3, 3}, {3, 1, 1}},
+      {"stride 2", {1, 2, 4, 4}, {2, 2, 3, 3}, {3, 2, 1}},
+      {"stride 2 non-square", {1, 2, 5, 4}, {2, 2, 3, 3}, {3, 2, 1}},
+      {"kernel > input", {1, 1, 3, 4}, {2, 1, 5, 5}, {5, 1, 2}},
+      {"kernel == input", {2, 2, 3, 3}, {3, 2, 3, 3}, {3, 1, 0}},
+      {"ragged stride", {1, 1, 6, 5}, {1, 1, 3, 3}, {3, 2, 1}},
+  };
+  Rng rng(97);
+  for (const auto& c : cases) {
+    const Tensor x = randn(c.x, rng, 0, 0.5f);
+    const Tensor w = randn(c.w, rng, 0, 0.3f);
+    const Tensor b = randn({c.w[0]}, rng, 0, 0.3f);
+    for (const bool with_bias : {false, true}) {
+      // Frozen is how AttackModeGuard leaves every parameter: only dX flows.
+      for (const bool trainable : {true, false}) {
+        const std::string what = std::string(c.name) +
+                                 (with_bias ? " +bias" : " no bias") +
+                                 (trainable ? " trainable" : " frozen");
+        Tensor weighting;  // one upstream gradient shared by both ops
+        auto run = [&](auto op, Var& xv, Var& wv, Var& bv) {
+          xv = Var::param(x);
+          wv = Var(w, trainable);
+          bv = with_bias ? Var(b, trainable) : Var();
+          Var out = op(xv, wv, bv, c.spec);
+          if (weighting.rank() == 0) weighting = randn(out.shape(), rng);
+          sum(mul(out, Var::constant(weighting))).backward();
+          return out.value();
+        };
+        Var lx, lw, lb, nx, nw, nb;
+        const Tensor legacy_out = run(legacy_conv2d, lx, lw, lb);
+        const Tensor new_out = run(conv2d, nx, nw, nb);
+        expect_memcmp_equal(new_out, legacy_out, what + " output");
+        expect_memcmp_equal(nx.grad(), lx.grad(), what + " dX");
+        if (trainable) {
+          expect_memcmp_equal(nw.grad(), lw.grad(), what + " dW");
+          if (with_bias) expect_memcmp_equal(nb.grad(), lb.grad(), what + " dB");
+        }
+      }
+    }
+  }
+}
+
+TEST(ConvGrad, OneIm2colPerConvForward) {
+  // The autograd conv builds its columns once for both the forward GEMM and
+  // dW; an attack step (frozen weights) builds them once for the forward only.
+  const bool was_profiling = obs::profiling_enabled();
+  obs::set_profiling_enabled(true);
+  auto calls = [](const char* site) {
+    for (const auto& e : obs::profile_table()) {
+      if (e.name == site) return e.calls;
+    }
+    return std::uint64_t{0};
+  };
+  Rng rng(101);
+  models::ModelSpec spec;
+  spec.name = "vgg16";
+  auto model = models::make_model(spec, rng);
+  const Tensor x = randn({4, 3, 16, 16}, rng, 0, 0.5f);
+  const std::vector<std::int64_t> y = {0, 1, 2, 3};
+  auto forward_backward = [&] {
+    Var xv = Var::param(x);
+    cross_entropy(model->forward(xv), y).backward();
+  };
+
+  obs::reset_profile();
+  forward_backward();
+  const auto conv_trained = calls("tensor/conv2d");
+  EXPECT_GT(conv_trained, 0u);
+  EXPECT_EQ(calls("tensor/im2col"), conv_trained) << "trainable parameters";
+
+  obs::reset_profile();
+  {
+    attacks::AttackModeGuard guard(*model);
+    forward_backward();
+  }
+  const auto conv_attack = calls("tensor/conv2d");
+  EXPECT_EQ(conv_attack, conv_trained);
+  EXPECT_EQ(calls("tensor/im2col"), conv_attack) << "under AttackModeGuard";
+
+  obs::reset_profile();
+  obs::set_profiling_enabled(was_profiling);
 }
 
 TEST(NormGrad, BatchNormTraining) {
